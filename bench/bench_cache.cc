@@ -130,9 +130,7 @@ int main() {
       workers, latency_us);
   auto wb = Workbench::Build(GenerateSynthetic(config), options);
   PCUBE_CHECK(wb.ok()) << wb.status().ToString();
-  // All query traffic goes through the QueryService interface; swapping in
-  // a ShardedWorkbench coordinator is a one-line change (bench_shard).
-  QueryService& service = **wb;
+  Workbench& workbench = **wb;
 
   std::vector<BatchQuery> queries = BuildWorkload(num_queries, config);
 
@@ -160,7 +158,7 @@ int main() {
                          CounterValue("pcube_result_cache_containment_total");
     double before_misses = CounterValue("pcube_result_cache_misses_total");
     for (size_t i = 0; i < passes; ++i) {
-      BatchOutput out = service.RunBatch(queries, workers, log);
+      BatchOutput out = workbench.RunBatch(queries, workers, log);
       PCUBE_CHECK_EQ(out.failed, 0u);
       p.seconds += out.seconds;
       p.reads += out.io.TotalReads();
@@ -214,7 +212,7 @@ int main() {
   json.close();
 
   MetricsRegistry& registry = MetricsRegistry::Default();
-  service.ExportMetrics(&registry);
+  workbench.ExportMetrics(&registry);
   std::ofstream prom("BENCH_cache_metrics.prom");
   prom << registry.RenderText();
   prom.close();

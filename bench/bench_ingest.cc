@@ -1,5 +1,5 @@
 // Write-path benchmark (DESIGN.md §15): sustained ingest through
-// QueryService::Apply against a FILE-backed workbench — every commit is a
+// Workbench::Apply against a FILE-backed workbench — every commit is a
 // real WAL append + fsync — first alone, then concurrent with query
 // traffic. Reports inserts/sec, commit-latency quantiles (p50/p95/p99),
 // and the group-commit amortization (commits per fsync), which is the

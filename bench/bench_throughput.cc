@@ -118,15 +118,13 @@ int main() {
       pool_stripes, latency_us);
   auto wb = Workbench::Build(GenerateSynthetic(config), options);
   PCUBE_CHECK(wb.ok()) << wb.status().ToString();
-  // All query traffic goes through the QueryService interface; swapping in
-  // a ShardedWorkbench coordinator is a one-line change (bench_shard).
-  QueryService& service = **wb;
+  Workbench& workbench = **wb;
 
   std::vector<BatchQuery> queries = BuildWorkload(num_queries, config);
 
   // One untimed pass brings the pool to its steady faulting state so every
   // measured worker count starts from the same cache contents.
-  (void)service.RunBatch(queries, 4);
+  (void)workbench.RunBatch(queries, 4);
 
   struct Row {
     size_t workers;
@@ -157,7 +155,7 @@ int main() {
     const bool last = i + 1 == sweep.size();
     pool_peak->Reset();
     BatchOutput out =
-        service.RunBatch(queries, workers, last ? query_log.get() : nullptr);
+        workbench.RunBatch(queries, workers, last ? query_log.get() : nullptr);
     PCUBE_CHECK_EQ(out.failed, 0u);
     rows.push_back({workers, out.seconds,
                     static_cast<double>(queries.size()) / out.seconds,
@@ -196,7 +194,7 @@ int main() {
   // Process-wide metrics dump: engine counters and latency histogram from
   // every batch above plus this instance's buffer-pool/storage gauges.
   MetricsRegistry& registry = MetricsRegistry::Default();
-  service.ExportMetrics(&registry);
+  workbench.ExportMetrics(&registry);
   std::ofstream prom("BENCH_throughput_metrics.prom");
   prom << registry.RenderText();
   prom.close();

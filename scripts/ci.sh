@@ -3,7 +3,7 @@
 #
 #   jobs   — optional leading integer, default $(nproc)
 #   phase  — any of: plain archive tsan asan ubsan tidy lint format
-#            throughput corruption cache shard serve ingest simd simd-off
+#            throughput corruption cache serve ingest simd simd-off
 #            (default: all, in that order)
 #
 # Phases:
@@ -24,10 +24,8 @@
 #   lint       — pcube-lint architecture checks (DESIGN.md §16): mutation
 #                entry-point discipline, no aborts reachable from wire
 #                decode, GUARDED_BY completeness on lock-owning classes,
-#                rationale comments on IgnoreError. Runs the clang-tidy
-#                plugin when LLVM dev headers were available at configure
-#                time, always the pcube_lint_scan fallback, and a
-#                clang --analyze sweep when clang is installed.
+#                rationale comments on IgnoreError. Runs pcube_lint_scan
+#                and, when clang is installed, a clang --analyze sweep.
 #   format     — scripts/format.sh --check against .clang-format. Skipped
 #                when clang-format is absent.
 #   throughput — bench_throughput smoke (observability artifacts).
@@ -35,10 +33,6 @@
 #                degraded answer matches the boolean-first reference).
 #   cache      — bench_cache smoke (warm pass must record L1 hits and beat
 #                the cold pass).
-#   shard      — scatter-gather gate: the shard differential suite
-#                (shard_test) plus a bench_shard smoke whose every shard
-#                count must answer byte-identically to the 1-shard
-#                baseline; emits BENCH_shard.json with QPS per shard count.
 #   serve      — network-server gate: a background `pcube serve` must answer
 #                a client-mode query identically to a local run, survive raw
 #                garbage bytes on its port, shut down cleanly on SIGTERM, and
@@ -73,7 +67,7 @@ if [[ "${1:-}" =~ ^[0-9]+$ ]]; then
 fi
 
 ALL_PHASES=(plain archive tsan asan ubsan tidy lint format throughput
-            corruption cache shard serve ingest simd simd-off)
+            corruption cache serve ingest simd simd-off)
 if [ "$#" -gt 0 ]; then
   PHASES=("$@")
   for phase in "${PHASES[@]}"; do
@@ -180,11 +174,9 @@ fi
 
 if want lint; then
   echo "=== pcube-lint ==="
-  # Architecture checks (DESIGN.md §16). scripts/lint.sh picks the best
-  # available tier itself: clang-tidy plugin when built, always the
-  # pcube_lint_scan fallback, clang --analyze when clang exists. The
-  # fixture corpus (lint_fixture_test, plain phase) pins both tiers'
-  # semantics, so a SKIP here never means the rules went unenforced.
+  # Architecture checks (DESIGN.md §16): scripts/lint.sh runs
+  # pcube_lint_scan, plus clang --analyze when clang exists. The fixture
+  # corpus (lint_fixture_test, plain phase) pins the scanner's semantics.
   ensure_plain_build
   scripts/lint.sh build
 fi
@@ -306,36 +298,6 @@ if want cache; then
   cp "$CACHE_DIR"/BENCH_cache.json "$CACHE_DIR"/BENCH_cache_metrics.prom \
      "$CACHE_DIR"/BENCH_cache_querylog.jsonl build/artifacts/
   echo "ci.sh: cache smoke passed"
-fi
-
-if want shard; then
-  echo "=== shard gate ==="
-  ensure_plain_build
-  # The differential property suite: sharded answers at 1/2/4/7 shards must
-  # be result-identical to the unsharded workbench, and a hot request must
-  # be served by the coordinator L1 without fanning out.
-  ctest --test-dir build --output-on-failure -R '^shard_test$'
-  SHARD_DIR=build/shard-smoke
-  mkdir -p "$SHARD_DIR"
-  # bench_shard exits non-zero itself when any shard count's answers
-  # diverge from the 1-shard baseline.
-  (cd "$SHARD_DIR" &&
-   PCUBE_SHARD_SMOKE=1 \
-   PCUBE_SHARD_ROWS=3000 \
-   PCUBE_SHARD_QUERIES=30 \
-   PCUBE_SHARD_LATENCY_US=100 \
-   PCUBE_SHARD_POOL_PAGES=64 \
-   PCUBE_SHARD_WORKERS=2 \
-   ../bench/bench_shard)
-  for field in shards qps speedup identical_to_baseline; do
-    if ! grep -q "\"$field\"" "$SHARD_DIR/BENCH_shard.json"; then
-      echo "ci.sh: BENCH_shard.json is missing $field" >&2
-      exit 1
-    fi
-  done
-  mkdir -p build/artifacts
-  cp "$SHARD_DIR/BENCH_shard.json" build/artifacts/
-  echo "ci.sh: shard gate passed"
 fi
 
 if want serve; then

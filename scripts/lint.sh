@@ -1,23 +1,12 @@
 #!/usr/bin/env bash
 # pcube-lint driver: architecture-aware static checks (DESIGN.md §16).
 #
-# Two tiers enforce the same four rules:
+# The self-contained pcube_lint_scan binary (no LLVM dependency; builds with
+# the same toolchain as the engine) enforces the four rules lexically over
+# the git-tracked C++ sources; the fixture corpus under tests/lint_fixtures/
+# pins its behavior.
 #
-#   plugin tier — when clang-tidy AND the built clang-tidy plugin module
-#     (tools/pcube_lint/PCubeLintModule.cpp, built only when LLVM/Clang dev
-#     headers are present: -DPCUBE_LINT_PLUGIN=ON) are available, run
-#     clang-tidy -load over the build's compile_commands.json with only the
-#     pcube-* checks enabled. AST-accurate: sees through typedefs, macro
-#     expansions and overload resolution.
-#
-#   fallback tier — always available: the self-contained pcube_lint_scan
-#     binary (no LLVM dependency; builds with the same toolchain as the
-#     engine) runs the lexical versions of the same checks over the
-#     git-tracked C++ sources. This is the tier CI actually gates on in
-#     environments without clang, and the fixture corpus under
-#     tests/lint_fixtures/ pins its behavior either way.
-#
-# An optional `clang --analyze` sweep runs after either tier when clang is
+# An optional `clang --analyze` sweep runs after the scanner when clang is
 # installed; it is additive (deeper path-sensitive checks), never required.
 #
 # Usage: scripts/lint.sh [build-dir]   (default: build)
@@ -47,25 +36,6 @@ mapfile -t files < <(git ls-files 'src/*.cc' 'src/*.h' \
                      'tests/*.cc' 'tests/*.h' \
                      ':!tests/lint_fixtures' ':!tools/pcube_lint')
 
-PLUGIN="$BUILD_DIR/tools/pcube_lint/libpcube_lint.so"
-if command -v clang-tidy >/dev/null 2>&1 && [ -f "$PLUGIN" ]; then
-  echo "lint.sh: plugin tier (clang-tidy -load) over compile_commands.json"
-  # Only compiled translation units appear in the database; headers are
-  # checked through their includers.
-  mapfile -t tu_files < <(git ls-files 'src/*.cc' 'tools/*.cpp' \
-                          'bench/*.cc' ':!tools/pcube_lint')
-  clang-tidy -p "$BUILD_DIR" --quiet \
-    -load "$PLUGIN" \
-    -checks='-*,pcube-mutation-entry,pcube-wire-no-abort,pcube-guarded-by-completeness,pcube-ignore-error-rationale' \
-    "${tu_files[@]}"
-  echo "lint.sh: plugin tier clean over ${#tu_files[@]} translation units"
-else
-  echo "lint.sh: clang-tidy plugin unavailable — fallback tier" \
-       "(pcube_lint_scan, same four checks, lexical)"
-fi
-
-# The fallback tier always runs: it is the floor both environments share,
-# and the only tier that sees headers directly.
 "$SCAN" "${files[@]}"
 
 # Optional deeper sweep: clang's path-sensitive static analyzer over the

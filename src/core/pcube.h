@@ -94,7 +94,7 @@ class PCube {
  private:
   /// The write path's applier (workbench/write_path.h) is the only caller
   /// of the maintenance mutators below: every mutation must flow through
-  /// QueryService::Apply so the WAL + epoch-stamping contract holds.
+  /// Workbench::Apply so the WAL + epoch-stamping contract holds.
   friend class WriteApplier;
 
   /// Incremental maintenance (paper §IV.B.3): applies the path changes of

@@ -129,7 +129,7 @@ std::string QueryLogRecord(const QueryRequest& request,
       buf, sizeof(buf),
       "{\"trace_id\":%llu,\"tenant\":\"%s\",\"kind\":\"%s\",\"preds\":\"%s\","
       "\"k\":%llu,"
-      "\"plan\":\"%s\",\"cache\":\"%s\",\"shards\":%u,\"degraded\":%s,"
+      "\"plan\":\"%s\",\"cache\":\"%s\",\"degraded\":%s,"
       "\"seconds\":%.9g,\"results\":%llu,"
       "\"io_reads\":%llu,\"counters\":{\"heap_peak\":%llu,"
       "\"nodes_expanded\":%llu,\"pruned_boolean\":%llu,"
@@ -143,7 +143,6 @@ std::string QueryLogRecord(const QueryRequest& request,
       response.estimate.choice == PlanChoice::kSignature ? "signature"
                                                          : "boolean_first",
       CacheOutcomeName(response.cache),
-      static_cast<unsigned>(response.fanout_shards),
       response.degraded ? "true" : "false",
       response.seconds, static_cast<unsigned long long>(response.tids.size()),
       static_cast<unsigned long long>(response.io.TotalReads()),

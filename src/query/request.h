@@ -147,12 +147,6 @@ struct QueryResponse {
   /// log). Degraded responses are never inserted into the cache.
   CacheOutcome cache = CacheOutcome::kNone;
 
-  /// Number of shards this query scattered to (logged as `shards:`).
-  /// 0 = answered by a single workbench with no coordinator; a sharded
-  /// coordinator sets it to the live-shard count on fan-out and leaves it 0
-  /// when the coordinator's L1 served the request without scattering.
-  uint32_t fanout_shards = 0;
-
   uint64_t trace_id() const { return trace.id(); }
 };
 

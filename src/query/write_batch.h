@@ -1,4 +1,4 @@
-// The mutation surface of the unified service interface (DESIGN.md §15):
+// The mutation surface of the Workbench (DESIGN.md §15):
 // one WriteBatch carries a set of row inserts and tuple deletes that commit
 // and become visible ATOMICALLY — either every row of the batch is durable
 // and applied, or none is. Apply() enforces this by validating the whole
@@ -9,10 +9,9 @@
 // striking mid-apply: Apply() then returns that error and the batch's
 // state is indeterminate — it remains in the WAL, a prefix of it may be
 // applied in memory, and recovery may re-apply it after a restart.
-// QueryService::Apply(WriteBatch) is the only
-// public mutation entry point; the raw structure mutators (RStarTree::Insert,
-// PCube::ApplyChanges, ...) are internal so the WAL + epoch-stamping
-// contract cannot be bypassed.
+// Workbench::Apply(WriteBatch) is the only public mutation entry point; the
+// raw structure mutators (RStarTree::Insert, PCube::ApplyChanges, ...) are
+// internal so the WAL + epoch-stamping contract cannot be bypassed.
 //
 // The binary encoding here is shared by the two places a batch crosses a
 // trust or durability boundary: the WAL record payload (storage/wal.h) and
@@ -35,7 +34,7 @@ namespace pcube {
 inline constexpr size_t kMaxBatchRows = 1u << 16;  ///< inserts + deletes
 inline constexpr size_t kMaxBatchDims = 64;        ///< per attribute class
 
-/// One atomic set of mutations against a QueryService.
+/// One atomic set of mutations against a Workbench.
 struct WriteBatch {
   /// When Apply() returns to the caller.
   enum class Ack : uint8_t {

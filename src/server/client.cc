@@ -102,7 +102,6 @@ Result<QueryResponse> PCubeClient::Run(const QueryRequest& request,
       rh.plan == 0 ? PlanChoice::kSignature : PlanChoice::kBooleanFirst;
   resp.cache = static_cast<CacheOutcome>(rh.cache);
   resp.degraded = rh.degraded;
-  resp.fanout_shards = rh.fanout_shards;
   resp.seconds = rh.seconds;
   if (stats != nullptr) {
     stats->trace_id = rh.trace_id;

@@ -7,7 +7,7 @@
 // Server-side errors come back as the Status the server produced
 // (ResourceExhausted for shed load, Timeout for expired budgets, ...), so
 // callers branch on status codes exactly as they would against a local
-// QueryService.
+// Workbench.
 //
 // Thread-safety: none — one PCubeClient is one socket with one in-flight
 // request. Concurrent load uses one client per thread (see

@@ -492,7 +492,6 @@ std::string EncodeResultHeader(const ResultHeader& h) {
   w.U8(h.plan);
   w.U8(h.cache);
   w.U8(h.degraded ? 1 : 0);
-  w.LE<uint32_t>(h.fanout_shards);
   w.F64(h.seconds);
   w.F64(h.queue_wait_seconds);
   w.LE<uint64_t>(h.io_reads);
@@ -523,7 +522,6 @@ Status DecodeResultHeader(const uint8_t* data, size_t size,
   }
   out->has_scores = has_scores != 0;
   out->degraded = degraded != 0;
-  PCUBE_RETURN_NOT_OK(r.U32(&out->fanout_shards));
   PCUBE_RETURN_NOT_OK(r.F64(&out->seconds));
   PCUBE_RETURN_NOT_OK(r.F64(&out->queue_wait_seconds));
   PCUBE_RETURN_NOT_OK(r.U64(&out->io_reads));
@@ -571,13 +569,13 @@ Status DecodeResultChunk(const uint8_t* data, size_t size, bool has_scores,
     return Status::Corruption("chunk score flag contradicts result header");
   }
   for (uint32_t i = 0; i < count; ++i) {
-    uint64_t tid;
+    uint64_t tid = 0;
     PCUBE_RETURN_NOT_OK(r.U64(&tid));
     tids->push_back(tid);
   }
   if (has_scores) {
     for (uint32_t i = 0; i < count; ++i) {
-      double v;
+      double v = 0;
       PCUBE_RETURN_NOT_OK(r.F64(&v));
       scores->push_back(v);
     }

@@ -30,7 +30,9 @@ namespace pcube::wire {
 
 /// First four payload bytes of every frame, "PCUB" read little-endian.
 inline constexpr uint32_t kMagic = 0x42554350u;
-inline constexpr uint8_t kVersion = 1;
+/// Bumped on every frame-layout change; a peer speaking another version is
+/// rejected at the header.
+inline constexpr uint8_t kVersion = 2;
 inline constexpr size_t kHeaderBytes = 12;
 
 /// Hard caps the parser enforces on anything the peer controls.
@@ -91,7 +93,6 @@ struct ResultHeader {
   uint8_t plan = 0;   ///< PlanChoice as its enum value
   uint8_t cache = 0;  ///< CacheOutcome as its enum value
   bool degraded = false;
-  uint32_t fanout_shards = 0;
   double seconds = 0;             ///< execution wall time on the server
   double queue_wait_seconds = 0;  ///< time between admission and execution
   uint64_t io_reads = 0;

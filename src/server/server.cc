@@ -26,9 +26,9 @@ struct ExecOutcome {
 };
 }  // namespace
 
-PCubeServer::PCubeServer(QueryService* service, ServerOptions options,
+PCubeServer::PCubeServer(Workbench* wb, ServerOptions options,
                          QueryLog* query_log)
-    : service_(service),
+    : wb_(wb),
       options_([&options] {
         if (options.workers == 0) {
           options.workers = std::max(1u, std::thread::hardware_concurrency());
@@ -246,7 +246,7 @@ bool PCubeServer::HandleQuery(int fd, const std::string& payload,
     QueryRequest run = request;
     run.deadline_ms = remaining_ms;
     Timer exec_timer;
-    Result<QueryResponse> result = service_->RunShared(run);
+    Result<QueryResponse> result = wb_->RunShared(run);
     out.exec_seconds = exec_timer.ElapsedSeconds();
     admission_.Finish(/*executed=*/true, out.exec_seconds);
     if (result.ok()) {
@@ -267,7 +267,6 @@ bool PCubeServer::HandleQuery(int fd, const std::string& payload,
   rh.plan = static_cast<uint8_t>(resp.estimate.choice);
   rh.cache = static_cast<uint8_t>(resp.cache);
   rh.degraded = resp.degraded;
-  rh.fanout_shards = resp.fanout_shards;
   rh.seconds = resp.seconds;
   rh.queue_wait_seconds = out.queue_wait_seconds;
   rh.io_reads = resp.io.TotalReads();
@@ -324,7 +323,7 @@ bool PCubeServer::HandleWrite(int fd, const std::string& payload) {
   // WAL's group commit is itself the write-side backpressure (a writer
   // blocks until its group's fsync lands). The tenant is still recorded
   // so the per-tenant frame counters stay honest.
-  Result<WriteResult> result = service_->Apply(envelope.batch);
+  Result<WriteResult> result = wb_->Apply(envelope.batch);
   if (!result.ok()) return answer_error(result.status());
   const bool wrote = wire::WriteFrame(fd, wire::FrameType::kWriteAck,
                                       wire::EncodeWriteAck(result.value()))

@@ -1,9 +1,8 @@
-// The `pcube serve` network server (DESIGN.md §14, ROADMAP item 1): a TCP
-// front door over any QueryService — a single Workbench or the sharded
-// scatter-gather coordinator — speaking the framed binary protocol of
-// protocol.h. One accept thread, one thread per connection (bounded by
-// max_connections), and a shared worker ThreadPool that actually executes
-// queries via QueryService::RunShared. Every request passes through the
+// The `pcube serve` network server (DESIGN.md §14): a TCP front door over
+// one Workbench, speaking the framed binary protocol of protocol.h. One
+// accept thread, one thread per connection (bounded by max_connections),
+// and a shared worker ThreadPool that actually executes queries via
+// Workbench::RunShared. Every request passes through the
 // AdmissionController before it may queue; overload is answered with an
 // early kError(ResourceExhausted) frame instead of unbounded queueing.
 //
@@ -11,7 +10,7 @@
 //   accept     — blocking read of the query frame off the socket
 //   parse      — defensive decode (protocol.h caps; damage never crashes)
 //   queue_wait — admission to worker pickup (charged against the deadline)
-//   execute    — QueryService::RunShared with the SHRUNK remaining budget
+//   execute    — Workbench::RunShared with the SHRUNK remaining budget
 //   respond    — result header + chunk stream + done back onto the socket
 // The spans are recorded into the response's Trace, so the JSONL query log
 // (which gains a `tenant:` field) shows where server time went per query.
@@ -36,7 +35,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "server/admission.h"
-#include "workbench/query_service.h"
+#include "workbench/workbench.h"
 
 namespace pcube {
 
@@ -54,12 +53,12 @@ struct ServerOptions {
   AdmissionOptions admission;
 };
 
-/// TCP server over a QueryService. Not copyable/movable; Stop() (or the
+/// TCP server over a Workbench. Not copyable/movable; Stop() (or the
 /// destructor) joins every thread before returning.
 class PCubeServer {
  public:
-  /// `service` and `query_log` (optional) must outlive the server.
-  PCubeServer(QueryService* service, ServerOptions options,
+  /// `wb` and `query_log` (optional) must outlive the server.
+  PCubeServer(Workbench* wb, ServerOptions options,
               QueryLog* query_log = nullptr);
   ~PCubeServer();
   PCubeServer(const PCubeServer&) = delete;
@@ -99,7 +98,7 @@ class PCubeServer {
   /// WAL. Same return contract as HandleQuery.
   bool HandleWrite(int fd, const std::string& payload);
 
-  QueryService* const service_;
+  Workbench* const wb_;
   const ServerOptions options_;
   QueryLog* const query_log_;
   // pcube-lint: begin-lock-free(fixed by the constructor and Start() before

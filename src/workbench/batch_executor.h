@@ -63,7 +63,6 @@ struct LatencySummary {
 
 /// Per-query bookkeeping every finished query reports into the process-wide
 /// registry: volume, latency and the engine counters behind Figs. 8-16.
-/// Shared by BatchExecutor and the sharded coordinator's batch driver.
 void ReportQueryMetrics(const BatchQuery& query, const QueryResponse& resp,
                         const Status& status);
 

@@ -536,11 +536,6 @@ Result<PlanEstimate> Workbench::Estimate(const PredicateSet& preds) {
   return planner.Estimate(preds);
 }
 
-std::string Workbench::DescribeShards() const {
-  return "shard 0: " + std::to_string(data_.num_tuples()) +
-         " tuples (single workbench)\n";
-}
-
 Result<SkylineOutput> Workbench::SignatureSkyline(const PredicateSet& preds,
                                                   std::vector<int> pref_dims) {
   PCUBE_CHECK(cube_ != nullptr);

@@ -30,7 +30,6 @@
 #include "storage/table_store.h"
 #include "storage/wal.h"
 #include "workbench/batch_executor.h"
-#include "workbench/query_service.h"
 #include "workbench/write_path.h"
 
 namespace pcube {
@@ -93,10 +92,12 @@ struct WorkbenchOptions {
   bool enable_containment = true;
 };
 
-/// One fully built experimental instance — the single-shard QueryService.
-/// Heap-allocated and pinned (the maintenance thread and the lock members
-/// make it immovable); always held behind a unique_ptr.
-class Workbench : public QueryService {
+/// One fully built experimental instance and the front door for preference
+/// queries: the CLI, the network server, the benchmarks and the batch
+/// drivers all answer through Run/RunShared/RunBatch and mutate through
+/// Apply. Heap-allocated and pinned (the maintenance thread and the lock
+/// members make it immovable); always held behind a unique_ptr.
+class Workbench {
  public:
   /// Builds every structure for `data` (the R-tree dims follow the schema).
   static Result<std::unique_ptr<Workbench>> Build(Dataset data,
@@ -104,7 +105,7 @@ class Workbench : public QueryService {
 
   /// Stops the maintenance thread. Durable-acked batches it had not applied
   /// yet survive in the WAL and are replayed by the next Open().
-  ~Workbench() override;
+  ~Workbench();
 
   /// Writes the catalog and flushes all pages; only valid for file-backed
   /// instances (options.file_path). Requires build_table and build_indices;
@@ -126,7 +127,7 @@ class Workbench : public QueryService {
   /// I/O performed since the last ColdStart().
   IoStats IoSince() const { return stats_.Delta(snapshot_); }
 
-  const Dataset& data() const override { return data_; }
+  const Dataset& data() const { return data_; }
   Dataset* mutable_data() { return &data_; }
   BufferPool* pool() { return pool_.get(); }
   IoStats* stats() { return &stats_; }
@@ -142,9 +143,9 @@ class Workbench : public QueryService {
   ChecksumPageManager* checksums() { return checksums_; }
 
   /// The invalidation epochs every mutation bumps (always present).
-  DataEpoch* epoch() override { return &epoch_; }
+  DataEpoch* epoch() { return &epoch_; }
   /// L1 result cache, or null when options.result_cache_mb == 0.
-  ResultCache* result_cache() override { return result_cache_.get(); }
+  ResultCache* result_cache() { return result_cache_.get(); }
   /// L2 fragment cache, or null when options.fragment_cache_mb == 0.
   FragmentCache* fragment_cache() { return fragment_cache_.get(); }
 
@@ -157,24 +158,28 @@ class Workbench : public QueryService {
     return dictionaries_;
   }
 
-  /// The single entry point (QueryService): plans via QueryPlanner — L1
-  /// lookup, cost-based plan choice honouring request.hint, cold-start
-  /// execution, cache publish. See workbench/planner.h for the contract.
-  Result<QueryResponse> Run(const QueryRequest& request) override;
+  /// The single-query entry point: plans via QueryPlanner — L1 lookup,
+  /// cost-based plan choice honouring request.hint, cold-start execution,
+  /// cache publish. See workbench/planner.h for the contract.
+  Result<QueryResponse> Run(const QueryRequest& request);
 
-  /// Thread-safe single-query entry (QueryService::RunShared): executes on
-  /// the calling thread with RunBatch's contract — signature engines, warm
-  /// measurements, L1 consulted, no degradation — via a long-lived
-  /// BatchExecutor over this instance's shared structures. The instance
-  /// must not be mutated while shared queries run.
-  Result<QueryResponse> RunShared(const QueryRequest& request) override;
+  /// Thread-safe single-query entry for concurrent callers (the network
+  /// server's worker pool). Answers are byte-identical to Run(), but it
+  /// executes on the calling thread with RunBatch's contract — signature
+  /// engines, warm measurements, L1 consulted, no boolean-first degradation
+  /// on storage damage — via a long-lived BatchExecutor over this
+  /// instance's shared structures. The instance must not be mutated while
+  /// shared queries run.
+  Result<QueryResponse> RunShared(const QueryRequest& request);
 
   /// Index-only cost estimates for both plans (QueryPlanner::Estimate).
-  Result<PlanEstimate> Estimate(const PredicateSet& preds) override;
+  Result<PlanEstimate> Estimate(const PredicateSet& preds);
 
-  /// The mutation entry point (QueryService::Apply, DESIGN.md §15): fully
-  /// validates the batch (schema AND delete tids, against the staged-write
-  /// cursors), stages it in the WAL under the write lock, joins a group
+  /// The mutation entry point (DESIGN.md §15) and the ONLY public way to
+  /// mutate an instance — the raw structure mutators are internal so the
+  /// WAL + epoch contract cannot be bypassed. Fully validates the batch
+  /// (schema AND delete tids, against the staged-write cursors), stages it
+  /// in the WAL under the write lock, joins a group
   /// commit (one fsync per concurrent writer group), then either returns at
   /// durability (Ack::kDurable) or waits for the maintenance thread to apply
   /// the batch (Ack::kApplied — read-your-writes). A rejected batch never
@@ -183,7 +188,7 @@ class Workbench : public QueryService {
   /// original run already refused. Thread-safe; runs concurrently with
   /// queries, which only ever block for the bounded slice the maintenance
   /// thread holds the structure writer lock.
-  Result<WriteResult> Apply(const WriteBatch& batch) override;
+  Result<WriteResult> Apply(const WriteBatch& batch);
 
   /// The write cursor: row count including every staged insert — the tid
   /// the next Apply()'s first insert would receive. Thread-safe.
@@ -209,9 +214,6 @@ class Workbench : public QueryService {
   /// The write-ahead log (always present; RAM-backed when file_path empty).
   Wal* wal() { return wal_.get(); }
 
-  size_t num_shards() const override { return 1; }
-  std::string DescribeShards() const override;
-
   /// Convenience: signature-based skyline with cold-cache accounting.
   Result<SkylineOutput> SignatureSkyline(const PredicateSet& preds,
                                          std::vector<int> pref_dims = {});
@@ -225,12 +227,12 @@ class Workbench : public QueryService {
   /// non-null, receives one JSONL record per query.
   BatchOutput RunBatch(const std::vector<BatchQuery>& queries,
                        size_t num_workers,
-                       QueryLog* query_log = nullptr) override;
+                       QueryLog* query_log = nullptr);
 
   /// Publishes this instance's storage gauges — buffer pool per-stripe
   /// hit/miss/eviction/load-wait plus structure page counts — into
   /// `registry` (pass &MetricsRegistry::Default() for the process dump).
-  void ExportMetrics(MetricsRegistry* registry) const override;
+  void ExportMetrics(MetricsRegistry* registry) const;
 
   /// What VerifyIntegrity found. ok() means every page read back with a
   /// valid checksum and every structure held its invariants.

@@ -6,16 +6,15 @@
 // Marker comments are invisible to every check (so a marker can never
 // silence the violation it labels).
 //
-// This header keeps the fixtures valid standalone C++ — they are never
-// linked into the product, but staying compilable means the clang-tidy
-// plugin tier can run on the same corpus wherever its headers exist.
+// This header keeps the fixtures valid standalone C++; they are never
+// linked into the product.
 #pragma once
 
 #include <cstdint>
 
-// Minimal stand-ins for the real types the checks key on. The lexical
-// fallback matches these by name; the plugin matches the real ::pcube
-// types, for which these mocks are name-compatible.
+// Minimal stand-ins for the real types the checks key on, which the
+// scanner matches by name; they are name-compatible with the real ::pcube
+// types.
 namespace pcube {
 
 struct Status {
@@ -44,8 +43,8 @@ class PCube {
 };
 
 // Lock wrappers + annotation macros, mirroring common/mutex.h and
-// common/thread_annotations.h (expanded to nothing here: the lexical tier
-// matches the tokens, the plugin tier the attributes on real builds).
+// common/thread_annotations.h (expanded to nothing here: the scanner
+// matches the tokens).
 class Mutex {};
 class SharedMutex {};
 class CondVar {};

@@ -1,4 +1,4 @@
-// Fixture-driven test for the pcube_lint_scan fallback scanner.
+// Fixture-driven test for the pcube_lint_scan scanner.
 //
 // Every fixture under tests/lint_fixtures/ seeds violations with
 // `// expect-lint: <check>` markers. The test runs the scanner over the

@@ -5,7 +5,7 @@
 namespace pcube {
 
 // A same-named method on an unrelated type is not a raw mutator: the check
-// resolves receiver types (declarations here, AST in the plugin tier).
+// resolves receiver types from the declarations in scope.
 class BPlusTree {
  public:
   Status Insert(uint64_t key, uint64_t value);

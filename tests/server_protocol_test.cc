@@ -133,7 +133,6 @@ TEST(ServerProtocolTest, ResultFramesRoundTrip) {
   rh.plan = 1;
   rh.cache = 3;
   rh.degraded = true;
-  rh.fanout_shards = 4;
   rh.seconds = 0.125;
   rh.queue_wait_seconds = 0.5;
   rh.io_reads = 42;
@@ -149,7 +148,6 @@ TEST(ServerProtocolTest, ResultFramesRoundTrip) {
   EXPECT_EQ(out.result_count, 5u);
   EXPECT_TRUE(out.has_scores);
   EXPECT_TRUE(out.degraded);
-  EXPECT_EQ(out.fanout_shards, 4u);
   EXPECT_EQ(out.io_reads, 42u);
   EXPECT_EQ(out.counters.heap_peak, 9u);
   EXPECT_DOUBLE_EQ(out.counters.sig_seconds, 0.25);

@@ -1,9 +1,8 @@
 // End-to-end tests of the write path (DESIGN.md §15): Apply() semantics on
 // the Workbench (read-your-writes, validation, ack modes), crash recovery
 // through WAL replay in Workbench::Open — including a deterministically torn
-// commit via scripted fault injection — and the ShardedWorkbench's routed
-// Apply. TSan-labeled: the maintenance thread, the group-commit handshake
-// and the coordinator fan-out all run under these tests.
+// commit via scripted fault injection. TSan-labeled: the maintenance thread
+// and the group-commit handshake run under these tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 
 #include "data/generators.h"
 #include "query/reference.h"
-#include "shard/sharded_workbench.h"
 #include "workbench/workbench.h"
 
 namespace pcube {
@@ -168,12 +166,19 @@ TEST(WritePathTest, RejectedBatchAppliesNothingAndNeverReachesTheWal) {
   EXPECT_EQ(w.data().num_tuples(), base);
   EXPECT_EQ(w.wal()->next_lsn(), next_lsn);
 
+  // The rejected batches left the write cursor alone: the next good batch
+  // gets the tids they would have taken.
+  WriteBatch first;
+  first.inserts.push_back(DominatingRow(1, 2, 2));
+  first.deletes.push_back(1);
+  auto applied = w.Apply(first);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->first_tid, base);
+  EXPECT_EQ(w.data().num_tuples(), base + 1);
+
   // Deleting the same tuple in two batches: the second is refused at stage
   // time, before the WAL sees it — even while the first may still be
   // pending in the maintenance queue.
-  WriteBatch first;
-  first.deletes.push_back(1);
-  ASSERT_TRUE(w.Apply(first).ok());
   WriteBatch second;
   second.deletes.push_back(1);
   EXPECT_TRUE(w.Apply(second).status().IsNotFound());
@@ -375,113 +380,6 @@ TEST(WritePathTest, TornCommitIsDiscardedOnReopen) {
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
   std::remove((path + ".chk").c_str());
-}
-
-/// Sorted multiset of skyline preference points — the shard-agnostic way to
-/// compare answers between deployments whose tuple ids differ.
-std::vector<std::vector<float>> SkylinePoints(QueryService& service,
-                                              const PredicateSet& preds) {
-  auto resp = service.RunShared(QueryRequest::Skyline(preds));
-  PCUBE_CHECK(resp.ok()) << resp.status().ToString();
-  std::vector<std::vector<float>> points;
-  for (TupleId tid : resp->tids) {
-    auto pt = service.data().PrefPoint(tid);
-    points.emplace_back(pt.begin(), pt.end());
-  }
-  std::sort(points.begin(), points.end());
-  return points;
-}
-
-TEST(WritePathTest, ShardedApplyRoutesInsertsAndDeletes) {
-  Dataset data = GenerateSynthetic(SmallConfig(18));
-  ShardedOptions options;
-  options.num_shards = 3;
-  auto built = ShardedWorkbench::Build(Dataset(data), options);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  ShardedWorkbench& sharded = **built;
-  const TupleId base = sharded.data().num_tuples();
-
-  // Mirror every mutation into a single-node workbench: answers must agree
-  // point-for-point regardless of how the coordinator scattered the rows.
-  auto reference = Workbench::Build(std::move(data), {});
-  ASSERT_TRUE(reference.ok());
-
-  Dataset extra = GenerateSynthetic(SmallConfig(19));
-  WriteBatch batch;
-  for (TupleId t = 0; t < 60; ++t) batch.inserts.push_back(MakeRow(extra, t));
-  batch.inserts.push_back(DominatingRow(1, 2, 2));
-  batch.deletes.push_back(3);
-  batch.deletes.push_back(400);
-
-  auto applied = sharded.Apply(batch);
-  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  EXPECT_EQ(applied->first_tid, base);
-  EXPECT_FALSE(applied->durable);  // shards are in-memory rebuilds
-  ASSERT_TRUE((*reference)->Apply(batch).ok());
-
-  EXPECT_EQ(sharded.data().num_tuples(), base + 61);
-  for (uint32_t v = 0; v < 3; ++v) {
-    for (int dim = 0; dim < 2; ++dim) {
-      EXPECT_EQ(SkylinePoints(sharded, {{dim, v}}),
-                SkylinePoints(**reference, {{dim, v}}))
-          << "dim=" << dim << " v=" << v;
-    }
-  }
-
-  // The dominator got a global tid; deleting it through the routed path
-  // must resolve to whichever shard it landed on.
-  auto sky = sharded.RunShared(QueryRequest::Skyline({{0, 1}}));
-  ASSERT_TRUE(sky.ok());
-  ASSERT_EQ(sky->tids.size(), 1u);
-  WriteBatch erase;
-  erase.deletes.push_back(sky->tids[0]);
-  ASSERT_TRUE(sharded.Apply(erase).ok());
-  WriteBatch erase_ref;
-  erase_ref.deletes.push_back(base + 60);  // same row in reference ids
-  ASSERT_TRUE((*reference)->Apply(erase_ref).ok());
-  EXPECT_EQ(SkylinePoints(sharded, {{0, 1}}),
-            SkylinePoints(**reference, {{0, 1}}));
-}
-
-TEST(WritePathTest, ShardedApplyRejectsBadBatchesWholly) {
-  // Regression: a bad delete used to be discovered only after the
-  // coordinator had extended the global view, leaving global_tids_ ahead of
-  // the shard's row count — the next write then died on an internal CHECK.
-  Dataset data = GenerateSynthetic(SmallConfig(25));
-  ShardedOptions options;
-  options.num_shards = 3;
-  auto built = ShardedWorkbench::Build(std::move(data), options);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  ShardedWorkbench& sharded = **built;
-  const TupleId base = sharded.data().num_tuples();
-
-  WriteBatch bad;
-  bad.inserts.push_back(DominatingRow(0, 2, 2));
-  bad.deletes.push_back(base + 999);
-  EXPECT_TRUE(sharded.Apply(bad).status().IsInvalidArgument());
-  EXPECT_EQ(sharded.data().num_tuples(), base);  // nothing routed or appended
-
-  WriteBatch dup;  // duplicate delete of one global tid, plus inserts
-  dup.inserts.push_back(DominatingRow(1, 2, 2));
-  dup.deletes.push_back(4);
-  dup.deletes.push_back(4);
-  EXPECT_TRUE(sharded.Apply(dup).status().IsNotFound());
-  EXPECT_EQ(sharded.data().num_tuples(), base);
-
-  // The coordinator's view did not diverge: the next write still predicts
-  // tids correctly, acknowledges, and its routed delete resolves.
-  WriteBatch good;
-  good.inserts.push_back(DominatingRow(1, 2, 2));
-  good.deletes.push_back(4);
-  auto applied = sharded.Apply(good);
-  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  EXPECT_EQ(applied->first_tid, base);
-  EXPECT_EQ(sharded.data().num_tuples(), base + 1);
-
-  // Deleting tid 4 again is refused via the owning shard's tombstones.
-  WriteBatch again;
-  again.deletes.push_back(4);
-  EXPECT_TRUE(sharded.Apply(again).status().IsNotFound());
 }
 
 TEST(WritePathTest, ConcurrentWritersFormCommitGroups) {

@@ -49,7 +49,7 @@
 //       (testing tool; `verify` and checksummed reads must catch it).
 //       --wal targets the WAL sidecar (<db>.wal) instead of the page file.
 //
-//   pcube serve --db data.pcube [--shards N] [--port P] [--workers N]
+//   pcube serve --db data.pcube [--port P] [--workers N]
 //               [--queue-cap N] [--tenant-rate R] [--tenant-burst B]
 //               [--max-conns N] [--query-log FILE]
 //       Serve the database over TCP (127.0.0.1 only) with multi-tenant
@@ -69,12 +69,6 @@
 //   --plan auto|signature|boolean   plan selection (default: auto, the cost
 //                                   model picks; see `explain`. A forced
 //                                   plan bypasses the result cache)
-//   --shards N                      answer through a scatter-gather
-//                                   coordinator over N in-process shards
-//                                   (boolean-row hash partition; sub-queries
-//                                   always run the signature engines, so
-//                                   --plan only controls cache bypass).
-//                                   `explain` prints the shard plan.
 //   --deadline-ms N                 per-query deadline; exceeding it fails
 //                                   the query with a Timeout status
 //   --metrics                       append a Prometheus-style text dump of
@@ -95,6 +89,10 @@
 //
 // Predicate values use the stored dictionary when the database came from a
 // CSV import ("color=red"); raw codes also work ("color=#3" or "2=#3").
+//
+// Any flag not in kFlags below is rejected with exit code 2, so a typo
+// such as --wher fails loudly instead of answering an unfiltered query.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -103,6 +101,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/random.h"
@@ -113,7 +112,6 @@
 #include "query/write_batch.h"
 #include "server/client.h"
 #include "server/server.h"
-#include "shard/sharded_workbench.h"
 #include "storage/wal.h"
 #include "workbench/planner.h"
 #include "workbench/workbench.h"
@@ -123,6 +121,21 @@ using namespace pcube;
 namespace {
 
 // ------------------------------------------------------------- arg parsing
+
+/// Every flag any command reads: the single list Args validates against.
+constexpr std::string_view kFlags[] = {
+    "ack", "band", "batch", "bool", "cache", "card", "connect", "csv", "db",
+    "deadline-ms", "delete", "dist", "fault-plan", "header", "k", "kind",
+    "limit", "max-conns", "metrics", "no-cache", "offset", "origin", "out",
+    "page", "plan", "port", "pref", "query-log", "queue-cap", "rows", "save",
+    "seed", "spec", "target", "tenant", "tenant-burst", "tenant-rate",
+    "tweights", "wal", "weights", "where", "workers",
+};
+
+bool KnownFlag(std::string_view key) {
+  return std::find(std::begin(kFlags), std::end(kFlags), key) !=
+         std::end(kFlags);
+}
 
 class Args {
  public:
@@ -134,6 +147,11 @@ class Args {
         std::exit(2);
       }
       key = key.substr(2);
+      if (!KnownFlag(key)) {
+        std::fprintf(stderr, "unknown flag '%s' (see `pcube --help`)\n",
+                     argv[i]);
+        std::exit(2);
+      }
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[key] = argv[++i];
       } else {
@@ -142,11 +160,13 @@ class Args {
     }
   }
 
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  bool Has(const std::string& key) const {
+    PCUBE_CHECK(KnownFlag(key)) << "--" << key << " missing from kFlags";
+    return values_.count(key) > 0;
+  }
 
   std::string Get(const std::string& key, const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    return Has(key) ? values_.at(key) : fallback;
   }
 
   std::string Require(const std::string& key) const {
@@ -209,40 +229,6 @@ std::unique_ptr<Workbench> OpenDb(const Args& args) {
     options.fragment_cache_mb = mb;
   }
   return Unwrap(Workbench::Open(args.Require("db"), options));
-}
-
-/// The query commands' service handle. The file-backed Workbench is always
-/// opened (it owns the dictionaries and the global Dataset the output is
-/// printed from); with --shards N (N > 1) a scatter-gather coordinator is
-/// built over a copy of that relation and answers the queries instead —
-/// result tids are global either way.
-struct ServiceHandle {
-  std::unique_ptr<Workbench> wb;
-  std::unique_ptr<ShardedWorkbench> sharded;
-  QueryService* service = nullptr;
-};
-
-ServiceHandle OpenService(const Args& args) {
-  ServiceHandle h;
-  h.wb = OpenDb(args);
-  size_t shards = static_cast<size_t>(args.GetInt("shards", 1));
-  if (shards > 1) {
-    ShardedOptions options;
-    options.num_shards = shards;
-    if (args.Has("no-cache")) {
-      options.result_cache_mb = 0;
-      options.shard.fragment_cache_mb = 0;
-    } else if (args.Has("cache")) {
-      size_t mb = static_cast<size_t>(args.GetInt("cache", 16));
-      options.result_cache_mb = mb;
-      options.shard.fragment_cache_mb = mb;
-    }
-    h.sharded = Unwrap(ShardedWorkbench::Build(h.wb->data(), options));
-    h.service = h.sharded.get();
-  } else {
-    h.service = h.wb.get();
-  }
-  return h;
 }
 
 /// Resolves "name=value" predicates against the stored dictionaries; names
@@ -336,7 +322,7 @@ PlanHint ParsePlanHint(const Args& args) {
 
 /// Shared epilogue of the query commands: the I/O line, the optional JSONL
 /// query-log record and the optional metrics dump.
-void FinishQuery(QueryService* service, const QueryRequest& request,
+void FinishQuery(Workbench* wb, const QueryRequest& request,
                  const QueryResponse& resp, const Args& args) {
   std::printf("disk: %llu page reads (%llu r-tree, %llu signature)",
               static_cast<unsigned long long>(resp.io.TotalReads()),
@@ -347,9 +333,6 @@ void FinishQuery(QueryService* service, const QueryRequest& request,
   if (resp.cache != CacheOutcome::kNone) {
     std::printf("  [cache: %s]", CacheOutcomeName(resp.cache));
   }
-  if (resp.fanout_shards > 0) {
-    std::printf("  [shards: %u]", static_cast<unsigned>(resp.fanout_shards));
-  }
   std::printf("\n");
   if (args.Has("query-log")) {
     auto log = Unwrap(QueryLog::OpenFile(args.Get("query-log")));
@@ -357,7 +340,7 @@ void FinishQuery(QueryService* service, const QueryRequest& request,
   }
   if (args.Has("metrics")) {
     MetricsRegistry& registry = MetricsRegistry::Default();
-    service->ExportMetrics(&registry);
+    wb->ExportMetrics(&registry);
     std::printf("\n%s", registry.RenderText().c_str());
   }
 }
@@ -454,8 +437,8 @@ int CmdInfo(const Args& args) {
 }
 
 int CmdSkyline(const Args& args) {
-  ServiceHandle h = OpenService(args);
-  PredicateSet preds = ParseWhere(*h.wb, args.Get("where"));
+  auto wb = OpenDb(args);
+  PredicateSet preds = ParseWhere(*wb, args.Get("where"));
   SkylineQueryOptions options;
   options.skyband_k = static_cast<size_t>(args.GetInt("band", 1));
   if (args.Has("origin")) {
@@ -466,7 +449,7 @@ int CmdSkyline(const Args& args) {
   QueryRequest request = QueryRequest::Skyline(preds, options);
   request.hint = ParsePlanHint(args);
   request.deadline_ms = static_cast<uint64_t>(args.GetInt("deadline-ms", 0));
-  auto resp = Unwrap(h.service->Run(request));
+  auto resp = Unwrap(wb->Run(request));
   if (resp.degraded) {
     std::printf("degraded: %s; answered via boolean-first fallback\n",
                 resp.degraded_reason.c_str());
@@ -478,19 +461,19 @@ int CmdSkyline(const Args& args) {
                   : "boolean-first");
   size_t limit = static_cast<size_t>(args.GetInt("limit", 50));
   for (size_t i = 0; i < resp.tids.size() && i < limit; ++i) {
-    PrintTuple(*h.wb, resp.tids[i], 0, false);
+    PrintTuple(*wb, resp.tids[i], 0, false);
   }
   if (resp.tids.size() > limit) std::printf("  ... (--limit to see more)\n");
-  FinishQuery(h.service, request, resp, args);
+  FinishQuery(wb.get(), request, resp, args);
   return 0;
 }
 
 int CmdTopK(const Args& args) {
-  ServiceHandle h = OpenService(args);
-  PredicateSet preds = ParseWhere(*h.wb, args.Get("where"));
+  auto wb = OpenDb(args);
+  PredicateSet preds = ParseWhere(*wb, args.Get("where"));
   size_t k = static_cast<size_t>(args.GetInt("k", 10));
   std::unique_ptr<RankingFunction> f;
-  int dp = h.wb->data().num_pref();
+  int dp = wb->data().num_pref();
   if (args.Has("target")) {
     std::vector<double> target = ParseDoubles(args.Get("target"));
     std::vector<double> weights =
@@ -518,7 +501,7 @@ int CmdTopK(const Args& args) {
                          k);
   request.hint = ParsePlanHint(args);
   request.deadline_ms = static_cast<uint64_t>(args.GetInt("deadline-ms", 0));
-  auto resp = Unwrap(h.service->Run(request));
+  auto resp = Unwrap(wb->Run(request));
   if (resp.degraded) {
     std::printf("degraded: %s; answered via boolean-first fallback\n",
                 resp.degraded_reason.c_str());
@@ -526,16 +509,16 @@ int CmdTopK(const Args& args) {
   std::printf("top %zu for %s\n", resp.tids.size(),
               preds.empty() ? "(no predicate)" : preds.ToString().c_str());
   for (size_t i = 0; i < resp.tids.size(); ++i) {
-    PrintTuple(*h.wb, resp.tids[i], resp.scores[i], true);
+    PrintTuple(*wb, resp.tids[i], resp.scores[i], true);
   }
-  FinishQuery(h.service, request, resp, args);
+  FinishQuery(wb.get(), request, resp, args);
   return 0;
 }
 
 int CmdExplain(const Args& args) {
-  ServiceHandle h = OpenService(args);
-  PredicateSet preds = ParseWhere(*h.wb, args.Get("where"));
-  auto est = h.service->Estimate(preds);
+  auto wb = OpenDb(args);
+  PredicateSet preds = ParseWhere(*wb, args.Get("where"));
+  auto est = wb->Estimate(preds);
   if (!est.ok()) Die(est.status());
   std::printf("query: %s\n",
               preds.empty() ? "(no predicate)" : preds.ToString().c_str());
@@ -550,10 +533,6 @@ int CmdExplain(const Args& args) {
                                                     : "boolean-first");
   std::printf("  simd kernels:              %s\n",
               simd::SimdLevelName(simd::ActiveSimdLevel()));
-  std::printf("shard plan (%zu shard%s):\n",
-              h.service->num_shards(),
-              h.service->num_shards() == 1 ? "" : "s");
-  std::printf("%s", h.service->DescribeShards().c_str());
   return 0;
 }
 
@@ -855,7 +834,7 @@ volatile std::sig_atomic_t g_stop_requested = 0;
 void HandleStopSignal(int) { g_stop_requested = 1; }
 
 int CmdServe(const Args& args) {
-  ServiceHandle h = OpenService(args);
+  auto wb = OpenDb(args);
   std::unique_ptr<QueryLog> log;
   if (args.Has("query-log")) {
     log = Unwrap(QueryLog::OpenFile(args.Get("query-log")));
@@ -871,12 +850,11 @@ int CmdServe(const Args& args) {
   options.admission.tenant_burst =
       std::strtod(args.Get("tenant-burst", "0").c_str(), nullptr);
 
-  PCubeServer server(h.service, options, log.get());
+  PCubeServer server(wb.get(), options, log.get());
   if (Status st = server.Start(); !st.ok()) Die(st);
   std::printf("pcube serve: listening on 127.0.0.1:%u "
-              "(%zu shard%s, queue cap %zu, tenant rate %s)\n",
-              static_cast<unsigned>(server.port()), h.service->num_shards(),
-              h.service->num_shards() == 1 ? "" : "s",
+              "(queue cap %zu, tenant rate %s)\n",
+              static_cast<unsigned>(server.port()),
               options.admission.queue_cap,
               options.admission.tenant_rate > 0
                   ? args.Get("tenant-rate").c_str()
@@ -1025,7 +1003,7 @@ int Help() {
       "                                (exit 1 on damage)\n"
       "  corrupt  --db F [--kind signature|rtree|table|catalog]\n"
       "           [--page N] [--offset K] [--wal]  flip bytes (testing tool)\n"
-      "  serve    --db F [--shards N] [--port P] [--workers N]\n"
+      "  serve    --db F [--port P] [--workers N]\n"
       "           [--queue-cap N] [--tenant-rate R] [--tenant-burst B]\n"
       "           [--max-conns N] [--query-log FILE]\n"
       "                                serve the database over TCP\n"
@@ -1041,10 +1019,6 @@ int Help() {
       "  --plan auto|signature|boolean  plan selection (default auto: the\n"
       "                                 cost model picks; a forced plan\n"
       "                                 bypasses the result cache)\n"
-      "  --shards N                     scatter-gather over N in-process\n"
-      "                                 shards (boolean-row hash partition;\n"
-      "                                 results identical to unsharded).\n"
-      "                                 `explain` prints the shard plan\n"
       "  --deadline-ms N                fail the query with Timeout beyond N\n"
       "  --metrics                      print a Prometheus-style dump of all\n"
       "                                 engine/cache/buffer-pool metrics\n"

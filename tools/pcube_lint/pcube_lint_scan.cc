@@ -1,23 +1,20 @@
-// pcube_lint_scan: the fallback driver of the pcube-lint static checks
+// pcube_lint_scan: the driver of the pcube-lint static checks
 // (DESIGN.md §16).
 //
-// The preferred implementation of these checks is the clang-tidy plugin in
-// this directory (PCubeLintModule.cpp), which sees real types and call
-// graphs. This binary is the fallback that keeps the `lint` CI phase
-// enforcing the same four invariants on toolchains without clang-tidy
-// plugin headers (the default GCC container): a self-contained,
-// comment/string-aware lexical analyzer. It is deliberately conservative —
+// The `lint` CI phase enforces four architecture invariants with this
+// binary on any toolchain: a self-contained, comment/string-aware lexical
+// analyzer. It is deliberately conservative —
 // everything it cannot prove benign it reports, and every report can be
 // silenced only by an explicit, reasoned pragma comment, so the escape
 // hatch is itself greppable documentation.
 //
-// Checks (shared semantics with the plugin; see DESIGN.md §16):
+// Checks (see DESIGN.md §16):
 //   pcube-mutation-entry
 //       Direct calls to the raw structure mutators (PCube::ApplyChanges,
 //       PCube::Rebuild, RStarTree::Insert/Delete, TableStore::Append)
 //       outside WriteApplier (src/workbench/write_path.cc), the mutators'
 //       own defining files, or code tagged
-//       `// pcube-lint: allow-mutation(<reason>)`. QueryService::Apply is
+//       `// pcube-lint: allow-mutation(<reason>)`. Workbench::Apply is
 //       the only legal mutation entry point (DESIGN.md §15) — any other
 //       path bypasses the WAL, the epoch stamping and the structure lock.
 //   pcube-wire-no-abort
@@ -39,11 +36,11 @@
 //       immediately preceding line. The discard stays sanctioned, but the
 //       *why* must sit next to it.
 //
-// Known lexical limitations (the plugin has none of these): receiver types
-// are resolved only from declarations in the scanned file and its paired
-// header (foo.cc <-> foo.h), so an `auto` receiver of a raw mutator is not
-// flagged; reachability of an abort from a decoder is approximated by file
-// path.  Fixture coverage: tests/lint_fixtures/ + lint_fixture_test.
+// Known lexical limitations: receiver types are resolved only from
+// declarations in the scanned file and its paired header (foo.cc <->
+// foo.h), so an `auto` receiver of a raw mutator is not flagged;
+// reachability of an abort from a decoder is approximated by file path.
+// Fixture coverage: tests/lint_fixtures/ + lint_fixture_test.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 usage/IO error.
 #include <algorithm>
@@ -474,7 +471,7 @@ void CheckMutationEntry(const SourceFile& f,
     d.col = t.col;
     d.check = "pcube-mutation-entry";
     d.message = "direct call to " + type + "::" + method +
-                " bypasses QueryService::Apply (the only legal mutation "
+                " bypasses Workbench::Apply (the only legal mutation "
                 "entry point, DESIGN.md §15); route the write through a "
                 "WriteBatch or tag it `// pcube-lint: allow-mutation(<why>)`";
     diags->push_back(std::move(d));
