@@ -23,6 +23,7 @@
 #include "common/simd/aligned.h"
 #include "common/simd/simd.h"
 #include "common/simd/word_kernels.h"
+#include "core/probe.h"
 #include "core/signature_cursor.h"
 #include "query/dominance_kernels.h"
 
@@ -87,6 +88,60 @@ void BM_SignatureProbe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SignatureProbe);
+
+// Node-at-a-time pruning (DESIGN.md §17): one FilterChildren call per leaf
+// node of the micro cube, every valid slot asked about, over one cursor
+// (Arg 1) or the fused pair (Arg 2). `time_per_child` is the time per
+// child slot answered (google-benchmark prints it with an SI prefix, e.g.
+// "260ps"), comparable with BM_SignatureProbe's time per Test.
+void BM_FilterChildren(benchmark::State& state) {
+  Workbench* wb = CachedWorkbench2("micro", [] {
+    return GenerateSynthetic(PaperConfig(50000));
+  });
+  PredicateSet preds = OnePredicate(100);
+  if (state.range(0) == 2) preds.Add({1, 50});
+  auto probe = wb->cube()->MakeProbe(preds);
+  PCUBE_CHECK(probe.ok());
+  // Every leaf node's path and a private copy of its page.
+  std::vector<Path> leaf_paths;
+  PCUBE_CHECK_OK(wb->tree()->CollectPaths(
+      [&](TupleId, const Path& p, std::span<const float>) {
+        Path leaf(p.begin(), p.end() - 1);
+        if (leaf_paths.empty() || leaf_paths.back() != leaf) {
+          leaf_paths.push_back(leaf);
+        }
+      }));
+  std::vector<Page> pages(leaf_paths.size());
+  std::vector<ChildMask> all_valid(leaf_paths.size());
+  uint64_t children = 0;
+  for (size_t i = 0; i < leaf_paths.size(); ++i) {
+    auto pid = wb->tree()->ResolvePath(leaf_paths[i], IoCategory::kRtreeBlock);
+    PCUBE_CHECK(pid.ok());
+    auto handle = wb->tree()->ReadNode(*pid);
+    PCUBE_CHECK(handle.ok());
+    pages[i] = *handle->get();
+    NodeView node(&pages[i], wb->tree()->dims());
+    for (uint32_t s = 0; s < node.max_entries(); ++s) {
+      if (!node.Valid(s)) continue;
+      all_valid[i].Set(s);
+      ++children;
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    NodeView node(&pages[i], wb->tree()->dims());
+    ChildMask survivors = all_valid[i];
+    PCUBE_CHECK_OK((*probe)->FilterChildren(leaf_paths[i], node, &survivors));
+    benchmark::DoNotOptimize(survivors);
+    i = (i + 1) % leaf_paths.size();
+  }
+  const double per_call =
+      static_cast<double>(children) / static_cast<double>(leaf_paths.size());
+  state.counters["time_per_child"] = benchmark::Counter(
+      per_call * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FilterChildren)->Arg(1)->Arg(2);
 
 void BM_BPlusTreeGet(benchmark::State& state) {
   static MemoryPageManager* pm = new MemoryPageManager();

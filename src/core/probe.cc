@@ -4,6 +4,20 @@
 
 namespace pcube {
 
+Status BooleanProbe::FilterChildren(const Path& parent, const NodeView& node,
+                                    ChildMask* survivors) {
+  Path child = parent;
+  child.push_back(0);
+  for (uint32_t s = 0; s < node.max_entries(); ++s) {
+    if (!survivors->Get(s)) continue;
+    child[child.size() - 1] = static_cast<uint16_t>(s + 1);
+    auto pass = node.is_leaf() ? TestData(child, node.GetId(s)) : Test(child);
+    if (!pass.ok()) return pass.status();
+    if (!*pass) survivors->Clear(s);
+  }
+  return Status::OK();
+}
+
 SignatureProbe::SignatureProbe(std::vector<SignatureCursor> cursors)
     : cursors_(std::move(cursors)) {
   if (cursors_.size() >= 2) {
@@ -28,6 +42,21 @@ Result<bool> SignatureProbe::Test(const Path& path) {
     sid = ChildSid(sid, m, slot);
   }
   return true;
+}
+
+Status SignatureProbe::FilterChildren(const Path& parent, const NodeView&,
+                                      ChildMask* survivors) {
+  if (cursors_.empty() || survivors->None()) return Status::OK();
+  const uint64_t sid = PathToSid(parent, cursors_[0].fanout());
+  auto bits =
+      cursors_.size() == 1 ? cursors_[0].NodeAt(sid) : FusedNode(sid);
+  if (!bits.ok()) return bits.status();
+  if (*bits == nullptr) {
+    *survivors = ChildMask();
+  } else {
+    survivors->IntersectWith(**bits);
+  }
+  return Status::OK();
 }
 
 Result<const BitVector*> SignatureProbe::FusedNode(uint64_t sid) {

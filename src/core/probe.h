@@ -9,12 +9,21 @@
 //                   tuple level -> results need table verification);
 //   TrueProbe       no boolean pruning (the Domination baseline and BBS).
 //
+// Engines ask node-at-a-time (DESIGN.md §17): when they expand an R-tree
+// node they call FilterChildren once with the mask of children that survived
+// preference pruning. A signature holds one bit array per node whose bit s
+// answers child s, so SignatureProbe answers every child with one node
+// lookup; other probes fall back to one Test/TestData per child. Test stays
+// the entry-at-a-time form, used for Lemma 2 seeds that enter a run with no
+// expanded parent.
+//
 // Thread-safety: probes memoise loaded signature state, so a probe instance
 // belongs to exactly one query and must not be shared across threads.
 // Concurrent queries each call PCube::MakeProbe for their own instance —
 // that is cheap and safe (see pcube.h).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -22,8 +31,49 @@
 #include "bitmap/bloom_filter.h"
 #include "core/sid_table.h"
 #include "core/signature_cursor.h"
+#include "rtree/node.h"
 
 namespace pcube {
+
+/// One bit per slot (0-based) of an R-tree node: the children a
+/// FilterChildren call is asked about and, on return, those that pass.
+class ChildMask {
+ public:
+  static constexpr uint32_t kMaxSlots = 256;
+
+  void Set(uint32_t slot) {
+    PCUBE_DCHECK_LT(slot, kMaxSlots);
+    words_[slot / 64] |= uint64_t{1} << (slot % 64);
+  }
+  void Clear(uint32_t slot) {
+    PCUBE_DCHECK_LT(slot, kMaxSlots);
+    words_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
+  }
+  bool Get(uint32_t slot) const {
+    PCUBE_DCHECK_LT(slot, kMaxSlots);
+    return words_[slot / 64] >> (slot % 64) & 1;
+  }
+  bool None() const {
+    uint64_t any = 0;
+    for (uint64_t w : words_) any |= w;
+    return any == 0;
+  }
+
+  /// Keeps only the slots whose bit is set in `bits`; slots at or past
+  /// bits.size() (a zero-width root array has none) are cleared.
+  void IntersectWith(const BitVector& bits) {
+    const size_t n = std::min(bits.words().size(), kWords);
+    for (size_t i = 0; i < n; ++i) words_[i] &= bits.words()[i];
+    for (size_t i = n; i < kWords; ++i) words_[i] = 0;
+  }
+
+ private:
+  static constexpr size_t kWords = kMaxSlots / 64;
+  uint64_t words_[kWords] = {};
+};
+
+static_assert(NodeView::MaxEntries(1) <= ChildMask::kMaxSlots,
+              "a ChildMask must cover the widest node");
 
 /// Answers "may the target cell contain data under this path?".
 class BooleanProbe {
@@ -41,6 +91,18 @@ class BooleanProbe {
   virtual Result<bool> TestData(const Path& path, TupleId) {
     return Test(path);
   }
+
+  /// Node-at-a-time pruning of the children of `node`, the R-tree node at
+  /// `parent`. On entry `survivors` holds the slots that survived
+  /// preference pruning; on return it keeps only those whose child may
+  /// hold the target data. The caller guarantees that `parent` itself
+  /// passes this probe (it came out of an earlier FilterChildren or a
+  /// positive Test), so an override may answer from the parent's own node
+  /// without re-testing its ancestors. The default tests each survivor
+  /// with TestData (leaf nodes) or Test, so probes that define only those
+  /// behave exactly as entry-at-a-time pruning.
+  virtual Status FilterChildren(const Path& parent, const NodeView& node,
+                                ChildMask* survivors);
 
   /// Whether a positive Test at tuple level is exact (signatures: yes;
   /// Bloom filters: no — the engine must verify results against the table).
@@ -68,11 +130,20 @@ class TrueProbe : public BooleanProbe {
 /// decisions are identical to the cursor-major loop — a path passes iff
 /// every cursor's bit is set at every level — only the order partial
 /// signatures are faulted in differs.
+///
+/// FilterChildren looks up the parent's node once — the cursor's array,
+/// or the fused array with two or more cursors — and ANDs it into the
+/// survivors. That is the one lookup a Test of the first surviving child
+/// would fault in (the ancestors are already materialised, since the
+/// parent passed), so partial signatures load in the same order and number
+/// as entry-at-a-time pruning.
 class SignatureProbe : public BooleanProbe {
  public:
   explicit SignatureProbe(std::vector<SignatureCursor> cursors);
 
   Result<bool> Test(const Path& path) override;
+  Status FilterChildren(const Path& parent, const NodeView& node,
+                        ChildMask* survivors) override;
 
   uint64_t partials_loaded() const override {
     uint64_t n = 0;

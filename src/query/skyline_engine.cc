@@ -1,22 +1,12 @@
 #include "query/skyline_engine.h"
 
 #include <limits>
-#include <queue>
 
 #include "common/timer.h"
+#include "query/node_expansion.h"
 #include "rtree/node.h"
 
 namespace pcube {
-
-namespace {
-struct KeyGreater {
-  bool operator()(const SearchEntry& a, const SearchEntry& b) const {
-    return a.key > b.key;
-  }
-};
-using CandidateHeap =
-    std::priority_queue<SearchEntry, std::vector<SearchEntry>, KeyGreater>;
-}  // namespace
 
 SkylineEngine::SkylineEngine(const RStarTree* tree, BooleanProbe* probe,
                              const TupleVerifier* verifier,
@@ -66,15 +56,18 @@ bool SkylineEngine::Dominated(const RectF& rect) const {
          options_.skyband_k;
 }
 
+bool SkylineEngine::PruneByPreference(const SearchEntry& e) {
+  if (!Dominated(e.rect)) return false;
+  out_.d_list.push_back(e);
+  ++out_.counters.pruned_preference;
+  return true;
+}
+
 Result<bool> SkylineEngine::Prune(const SearchEntry& e) {
   // Preference (domination) pruning first, boolean pruning second — the
-  // order of the paper's prune() procedure, which determines which list an
-  // entry doubly-pruned entry lands in.
-  if (Dominated(e.rect)) {
-    out_.d_list.push_back(e);
-    ++out_.counters.pruned_preference;
-    return true;
-  }
+  // order of the paper's prune() procedure, which determines which list a
+  // doubly-pruned entry lands in.
+  if (PruneByPreference(e)) return true;
   if (!e.path.empty()) {
     Timer t;
     auto pass = e.is_data ? probe_->TestData(e.path, e.id)
@@ -123,10 +116,10 @@ Result<SkylineOutput> SkylineEngine::RunFrom(
     }
     SearchEntry e = heap.top();
     heap.pop();
-    // Re-check: the skyline may have grown since e entered the heap.
-    auto pruned = Prune(e);
-    if (!pruned.ok()) return pruned.status();
-    if (*pruned) continue;
+    // Re-check: the skyline may have grown since e entered the heap. Only
+    // dominance can have changed — e already passed the boolean probe, as
+    // a seed through Prune or as a child through FilterChildren.
+    if (PruneByPreference(e)) continue;
 
     if (e.is_data) {
       if (verifier_ != nullptr) {
@@ -155,23 +148,21 @@ Result<SkylineOutput> SkylineEngine::RunFrom(
     if (!node_handle.ok()) return node_handle.status();
     ++out_.counters.nodes_expanded;
     NodeView node(node_handle->get(), tree_->dims());
+    children_.clear();
+    ChildMask survivors;
     for (uint32_t s = 0; s < node.max_entries(); ++s) {
       if (!node.Valid(s)) continue;
-      SearchEntry child;
+      SearchEntry& child = children_.emplace_back();
       child.is_data = node.is_leaf();
       child.id = node.GetId(s);
       child.rect = node.GetRect(s);
       child.path = e.path;
       child.path.push_back(static_cast<uint16_t>(s + 1));
       child.key = EntryKey(child.rect);
-      auto child_pruned = Prune(child);
-      if (!child_pruned.ok()) return child_pruned.status();
-      if (!*child_pruned) {
-        heap.push(std::move(child));
-        out_.counters.heap_peak =
-            std::max<uint64_t>(out_.counters.heap_peak, heap.size());
-      }
+      if (!Dominated(child.rect)) survivors.Set(s);
     }
+    PCUBE_RETURN_NOT_OK(FileChildren(probe_, trace_, e.path, node, survivors,
+                                     children_, &heap, &out_));
   }
   return std::move(out_);
 }

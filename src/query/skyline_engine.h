@@ -64,8 +64,12 @@ class SkylineEngine {
   /// Writes the transformed coordinates of `rect` on the preference
   /// dimensions into cand_scratch_.
   void TransformInto(const RectF& rect) const;
-  /// Applies the paper's prune() (lines 14-20): preference first, boolean
-  /// second; files the entry into the appropriate list.
+  /// Files `e` into d_list when Dominated; returns whether it was.
+  bool PruneByPreference(const SearchEntry& e);
+  /// Applies the paper's prune() (lines 14-20) to one entry: preference
+  /// first, boolean second; files the entry into the appropriate list.
+  /// Seeds take this path; expanded children are pruned node-at-a-time
+  /// (node_expansion.h).
   Result<bool> Prune(const SearchEntry& e);
 
   const RStarTree* tree_;
@@ -81,6 +85,8 @@ class SkylineEngine {
   /// instead of re-deriving coordinates from each member's rect.
   DominanceWindow window_;
   mutable std::vector<double> cand_scratch_;
+  /// Children of the node being expanded, reused across expansions.
+  std::vector<SearchEntry> children_;
 };
 
 }  // namespace pcube

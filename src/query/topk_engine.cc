@@ -1,36 +1,33 @@
 #include "query/topk_engine.h"
 
 #include <limits>
-#include <queue>
 
 #include "common/timer.h"
+#include "query/node_expansion.h"
 #include "rtree/node.h"
 
 namespace pcube {
-
-namespace {
-struct KeyGreater {
-  bool operator()(const SearchEntry& a, const SearchEntry& b) const {
-    return a.key > b.key;
-  }
-};
-using CandidateHeap =
-    std::priority_queue<SearchEntry, std::vector<SearchEntry>, KeyGreater>;
-}  // namespace
 
 TopKEngine::TopKEngine(const RStarTree* tree, BooleanProbe* probe,
                        const TupleVerifier* verifier, const RankingFunction* f,
                        size_t k)
     : tree_(tree), probe_(probe), verifier_(verifier), f_(f), k_(k) {}
 
+bool TopKEngine::ScorePruned(double key) const {
+  // k results with scores <= key already found.
+  return out_.results.size() >= k_ && !out_.results.empty() &&
+         key >= out_.results.back().key;
+}
+
+bool TopKEngine::PruneByPreference(const SearchEntry& e) {
+  if (!ScorePruned(e.key)) return false;
+  out_.d_list.push_back(e);
+  ++out_.counters.pruned_preference;
+  return true;
+}
+
 Result<bool> TopKEngine::Prune(const SearchEntry& e) {
-  // Preference pruning: k results with scores <= f(e) already found.
-  if (out_.results.size() >= k_ && !out_.results.empty() &&
-      e.key >= out_.results.back().key) {
-    out_.d_list.push_back(e);
-    ++out_.counters.pruned_preference;
-    return true;
-  }
+  if (PruneByPreference(e)) return true;
   if (!e.path.empty()) {
     Timer t;
     auto pass = e.is_data ? probe_->TestData(e.path, e.id)
@@ -86,9 +83,10 @@ Result<TopKOutput> TopKEngine::RunFrom(const std::vector<SearchEntry>& seed) {
     }
     SearchEntry e = heap.top();
     heap.pop();
-    auto pruned = Prune(e);
-    if (!pruned.ok()) return pruned.status();
-    if (*pruned) continue;
+    // Re-check: the k-th score may have improved since e entered the heap.
+    // Only that can have changed — e already passed the boolean probe, as
+    // a seed through Prune or as a child through FilterChildren.
+    if (PruneByPreference(e)) continue;
 
     if (e.is_data) {
       if (verifier_ != nullptr) {
@@ -112,9 +110,11 @@ Result<TopKOutput> TopKEngine::RunFrom(const std::vector<SearchEntry>& seed) {
     if (!node_handle.ok()) return node_handle.status();
     ++out_.counters.nodes_expanded;
     NodeView node(node_handle->get(), tree_->dims());
+    children_.clear();
+    ChildMask survivors;
     for (uint32_t s = 0; s < node.max_entries(); ++s) {
       if (!node.Valid(s)) continue;
-      SearchEntry child;
+      SearchEntry& child = children_.emplace_back();
       child.is_data = node.is_leaf();
       child.id = node.GetId(s);
       child.rect = node.GetRect(s);
@@ -122,14 +122,10 @@ Result<TopKOutput> TopKEngine::RunFrom(const std::vector<SearchEntry>& seed) {
       child.path.push_back(static_cast<uint16_t>(s + 1));
       child.key = child.is_data ? f_->Score(span_of(child.rect))
                                 : f_->LowerBound(child.rect);
-      auto child_pruned = Prune(child);
-      if (!child_pruned.ok()) return child_pruned.status();
-      if (!*child_pruned) {
-        heap.push(std::move(child));
-        out_.counters.heap_peak =
-            std::max<uint64_t>(out_.counters.heap_peak, heap.size());
-      }
+      if (!ScorePruned(child.key)) survivors.Set(s);
     }
+    PCUBE_RETURN_NOT_OK(FileChildren(probe_, trace_, e.path, node, survivors,
+                                     children_, &heap, &out_));
   }
 
   // Preserve the unexamined frontier for incremental queries (Lemma 2).

@@ -45,6 +45,13 @@ class TopKEngine {
   }
 
  private:
+  /// True when k results scoring at most `key` are already found.
+  bool ScorePruned(double key) const;
+  /// Files `e` into d_list when ScorePruned; returns whether it was.
+  bool PruneByPreference(const SearchEntry& e);
+  /// The paper's prune() on one entry: preference first, boolean second.
+  /// Seeds take this path; expanded children are pruned node-at-a-time
+  /// (node_expansion.h).
   Result<bool> Prune(const SearchEntry& e);
 
   const RStarTree* tree_;
@@ -55,6 +62,8 @@ class TopKEngine {
   const RankingFunction* f_;
   size_t k_;
   TopKOutput out_;
+  /// Children of the node being expanded, reused across expansions.
+  std::vector<SearchEntry> children_;
 };
 
 }  // namespace pcube

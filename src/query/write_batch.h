@@ -65,7 +65,9 @@ struct WriteResult {
   uint64_t lsn = 0;          ///< WAL sequence number of the batch
   TupleId first_tid = 0;     ///< tid of inserts[0]; rows get consecutive ids
   uint64_t epoch = 0;        ///< global data epoch at acknowledgement
-  double commit_seconds = 0; ///< stage -> durable wall time
+  /// Stage → acknowledgement wall time: the WAL fsync wait and, for
+  /// kApplied, the wait for maintenance to apply the batch.
+  double commit_seconds = 0;
   uint32_t group_size = 1;   ///< writers coalesced into the batch's fsync
   bool durable = false;      ///< false for RAM-backed services (no WAL file)
 };

@@ -28,14 +28,14 @@ class NodeView {
 
   /// Maximum entries per node for `dims` preference dimensions: the largest
   /// M with kHeaderSize + ceil(M/8) + M * entry_size <= kPageSize.
-  static uint32_t MaxEntries(int dims) {
+  static constexpr uint32_t MaxEntries(int dims) {
     size_t esize = EntrySize(dims);
     uint32_t m = static_cast<uint32_t>((kPageSize - kHeaderSize) * 8 / (esize * 8 + 1));
     while (kHeaderSize + (m + 7) / 8 + m * esize > kPageSize) --m;
     return m;
   }
 
-  static size_t EntrySize(int dims) { return 2 * dims * 4 + 8; }
+  static constexpr size_t EntrySize(int dims) { return 2 * dims * 4 + 8; }
 
   NodeView(Page* page, int dims)
       : page_(page), dims_(dims), m_(MaxEntries(dims)), esize_(EntrySize(dims)) {}

@@ -57,9 +57,10 @@ class PCubeClient {
   /// to fit one kWrite frame and acked individually at the batch's Ack
   /// level. The returned WriteResult is the merge: `lsn`/`epoch` from the
   /// last slice, `first_tid` from the first slice carrying inserts,
-  /// `commit_seconds` summed, `durable` only if every slice was. NOT atomic
-  /// across slices — a failure mid-split leaves earlier slices applied (the
-  /// returned error says how many rows landed).
+  /// `commit_seconds` (each slice's stage → acknowledgement time, which
+  /// for kApplied includes maintenance) summed, `durable` only if every
+  /// slice was. NOT atomic across slices — a failure mid-split leaves
+  /// earlier slices applied (the returned error says how many rows landed).
   Result<WriteResult> Write(const WriteBatch& batch, const std::string& tenant);
 
  private:
