@@ -1,9 +1,9 @@
-// Two-level query cache benchmark: the same mixed batch workload as
+// L1 result-cache benchmark: the same mixed batch workload as
 // bench_throughput, but with repeated queries — the regime the cache is
 // for. Three phases over one Workbench:
 //
-//   cold — first pass, empty caches: every query decodes signatures and
-//          runs branch-and-bound; fills both levels.
+//   cold — first pass, empty cache: every query decodes signatures and
+//          runs branch-and-bound; fills the L1 result cache.
 //   warm — second pass of the SAME batch: exact repeats served from the L1
 //          result cache (the drill-down/truncation paths fire for the
 //          contained variants the workload mixes in).
@@ -115,7 +115,7 @@ int main() {
   WorkbenchOptions options;
   // Small pool + real per-read latency: misses pay for their pages the way
   // the paper's disk-bound experiments do, so the cold/warm gap reflects
-  // the I/O (and decode work) the caches remove, not just CPU.
+  // the I/O (and decode work) the cache removes, not just CPU.
   options.pool_pages = 64;
   options.pool_stripes = 16;
   options.read_latency_us = latency_us;

@@ -353,51 +353,6 @@ BENCHMARK(BM_KernelDominance)
     ->Args({512, 0})
     ->Args({512, 1});
 
-// WAH-aware encoded intersection vs decode-both-then-AND, at a runs-heavy
-// density (where fill skipping pays) and a uniform one (literal fallback).
-void BM_EncodedIntersect(benchmark::State& state) {
-  Random rng(21);
-  size_t nbits = 16384;
-  bool runny = state.range(0) != 0;
-  bool fused = state.range(1) != 0;
-  BitVector a(nbits), b(nbits);
-  for (size_t i = 0; i < nbits; ++i) {
-    if (runny) {
-      // 1/64 chance per aligned 512-bit block: long zero runs dominate.
-      if ((i & 511) == 0 && rng.Uniform(64) == 0) a.Set(i);
-      if ((i & 511) == 0 && rng.Uniform(64) == 0) b.Set(i);
-    } else {
-      if (rng.Uniform(100) < 30) a.Set(i);
-      if (rng.Uniform(100) < 30) b.Set(i);
-    }
-  }
-  std::vector<uint8_t> buf_a, buf_b;
-  BitmapCodec::EncodeWith(BitmapScheme::kWah, a, &buf_a);
-  BitmapCodec::EncodeWith(BitmapScheme::kWah, b, &buf_b);
-  for (auto _ : state) {
-    size_t oa = 0, ob = 0;
-    BitVector out;
-    if (fused) {
-      PCUBE_CHECK_OK(BitmapCodec::IntersectEncoded(buf_a.data(), buf_a.size(),
-                                                   &oa, buf_b.data(),
-                                                   buf_b.size(), &ob, &out));
-    } else {
-      BitVector other;
-      PCUBE_CHECK_OK(BitmapCodec::Decode(buf_a.data(), buf_a.size(), &oa,
-                                         &out));
-      PCUBE_CHECK_OK(BitmapCodec::Decode(buf_b.data(), buf_b.size(), &ob,
-                                         &other));
-      out.InplaceAnd(other);
-    }
-    benchmark::DoNotOptimize(out.words().data());
-  }
-}
-BENCHMARK(BM_EncodedIntersect)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({0, 0})
-    ->Args({0, 1});
-
 // ------------------------------------------------------- SIMD smoke gate
 
 /// Minimum of `reps` timings of `iters` calls of `body` — seconds per call.

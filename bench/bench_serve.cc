@@ -183,7 +183,7 @@ int main() {
   std::vector<QueryRequest> queries = BuildWorkload(config);
 
   // Untimed warm-up so calibration and the measured runs all see the same
-  // steady cache state (the fragment cache warms across the whole sweep).
+  // steady buffer-pool state (the pool warms across the whole sweep).
   (void)DriveLoad(server.port(), queries, workers, seconds * 0.5);
 
   // Calibration: closed-loop concurrency == workers saturates the executor

@@ -107,10 +107,9 @@ int main() {
   options.pool_stripes = pool_stripes;
   options.read_latency_us = latency_us;
   // This benchmark measures engine throughput under real I/O stalls; the
-  // sweep re-runs one workload, which the query caches would answer without
-  // touching a page after the warm-up. bench_cache measures the caches.
+  // sweep re-runs one workload, which the result cache would answer without
+  // touching a page after the warm-up. bench_cache measures the cache.
   options.result_cache_mb = 0;
-  options.fragment_cache_mb = 0;
   std::printf(
       "building workbench: %llu rows, pool %zu pages / %zu stripes, "
       "%.0f us/read\n",

@@ -283,8 +283,7 @@ if want cache; then
       exit 1
     fi
   done
-  for counter in pcube_result_cache_hits_total pcube_fragment_cache_hits_total \
-                 pcube_result_cache_hit_rate; do
+  for counter in pcube_result_cache_hits_total pcube_result_cache_hit_rate; do
     if ! grep -q "^$counter" "$CACHE_DIR/BENCH_cache_metrics.prom"; then
       echo "ci.sh: metrics dump lacks $counter" >&2
       exit 1

@@ -4,12 +4,11 @@
 //
 // Storage is 32-byte aligned (common/simd/aligned.h) and the bulk algebra
 // (And/Or/AndNot/Count) dispatches to the kernel layer of DESIGN.md §12, so
-// every vector — fragment nodes, cache blocks, codec scratch — is a legal
-// SIMD operand without copies.
+// every vector — fragment nodes, fused probe arrays, codec scratch — is a
+// legal SIMD operand without copies.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -27,14 +26,6 @@ class BitVector {
   /// All-zero vector of `num_bits` bits.
   explicit BitVector(size_t num_bits)
       : num_bits_(num_bits), words_(bit_util::Words64(num_bits), 0) {}
-
-  /// Vector initialised from a packed word array (e.g. one node's slice of
-  /// a FragmentCache block). `words` must hold exactly Words64(num_bits)
-  /// words with the pad bits of the last word zero.
-  BitVector(size_t num_bits, std::span<const uint64_t> words)
-      : num_bits_(num_bits), words_(words.begin(), words.end()) {
-    PCUBE_DCHECK_EQ(words_.size(), bit_util::Words64(num_bits));
-  }
 
   size_t size() const { return num_bits_; }
   bool empty() const { return num_bits_ == 0; }

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/bit_util.h"
-#include "common/metrics.h"
-#include "common/simd/word_kernels.h"
 
 namespace pcube {
 
@@ -69,23 +67,6 @@ void SetBitRange(uint64_t* words, size_t begin, size_t end) {
   words[wb] |= first;
   for (size_t i = wb + 1; i < we; ++i) words[i] = ~uint64_t{0};
   words[we] |= last;
-}
-
-/// dst[begin, end) |= src[begin, end), both addressed in the same bit space.
-void OrRangeFrom(uint64_t* dst, const uint64_t* src, size_t begin,
-                 size_t end) {
-  if (begin >= end) return;
-  size_t wb = begin >> 6;
-  size_t we = (end - 1) >> 6;
-  uint64_t first = ~uint64_t{0} << (begin & 63);
-  uint64_t last = ~uint64_t{0} >> (63 - ((end - 1) & 63));
-  if (wb == we) {
-    dst[wb] |= src[wb] & first & last;
-    return;
-  }
-  dst[wb] |= src[wb] & first;
-  for (size_t i = wb + 1; i < we; ++i) dst[i] |= src[i];
-  dst[we] |= src[we] & last;
 }
 
 /// Zeroes the pad bits above `nbits` in the final word (defence against
@@ -279,148 +260,6 @@ Status ParseHeader(const uint8_t* data, size_t size, size_t* offset,
   return Status::OK();
 }
 
-/// Streaming reader over one encoded WAH body: hands out fills (whole runs,
-/// never expanded) and literal words, validating against the group total.
-struct WahReader {
-  const uint8_t* data;
-  size_t size;
-  size_t* offset;
-  uint32_t run_left = 0;   // groups left in the current fill
-  bool run_val = false;
-  bool has_literal = false;
-  uint32_t literal = 0;
-
-  bool Exhausted() const { return run_left == 0 && !has_literal; }
-
-  /// Ensures a current item; `groups_left` is the shared number of groups
-  /// the merge still has to produce (= this operand's remaining groups).
-  Status Ensure(size_t groups_left) {
-    while (Exhausted()) {
-      if (*offset + 4 > size) return Status::Corruption("WAH body truncated");
-      uint32_t w = bit_util::LoadLE<uint32_t>(data + *offset);
-      *offset += 4;
-      if (w & kWahFillFlag) {
-        run_left = w & kWahMaxRun;  // zero-length runs are skipped
-        run_val = (w & kWahFillValue) != 0;
-        if (run_left > groups_left) {
-          return Status::Corruption("WAH run overflows bit count");
-        }
-      } else {
-        literal = w & kWahPayloadMask;
-        has_literal = true;
-      }
-    }
-    return Status::OK();
-  }
-
-  /// Consumes one group; only valid when the current item is a literal or a
-  /// fill with run_left >= 1.
-  void ConsumeOne() {
-    if (has_literal) {
-      has_literal = false;
-    } else {
-      --run_left;
-    }
-  }
-
-  /// The 31-bit payload of the current item viewed as one group.
-  uint32_t GroupValue() const {
-    if (has_literal) return literal;
-    return run_val ? kWahPayloadMask : 0;
-  }
-};
-
-Counter* EncodedIntersectCounter() {
-  static Counter* c = MetricsRegistry::Default().GetCounter(
-      "pcube_simd_kernel_calls_total{kernel=\"encoded_intersect\"}");
-  return c;
-}
-
-/// a is WAH, b is fully decoded (verbatim side or recursion base): walk a's
-/// words, skipping zero fills without touching b, word-copying one fills,
-/// ANDing literals against b's 31-bit groups.
-Status IntersectWahDecoded(WahReader* a, const BitVector& b, size_t nbits,
-                           BitVector* out) {
-  size_t total_groups = bit_util::CeilDiv(nbits, kWahGroupBits);
-  uint64_t* words = out->mutable_words();
-  size_t g = 0;
-  while (g < total_groups) {
-    PCUBE_RETURN_NOT_OK(a->Ensure(total_groups - g));
-    if (a->has_literal) {
-      uint32_t v = a->literal & WahGroup(b, g);
-      OrGroupAt(words, g * kWahGroupBits, v,
-                std::min<size_t>(kWahGroupBits, nbits - g * kWahGroupBits));
-      a->ConsumeOne();
-      ++g;
-    } else {
-      size_t k = std::min<size_t>(a->run_left, total_groups - g);
-      if (a->run_val) {
-        OrRangeFrom(words, b.words().data(), g * kWahGroupBits,
-                    std::min((g + k) * kWahGroupBits, nbits));
-      }
-      a->run_left -= static_cast<uint32_t>(k);
-      g += k;
-    }
-  }
-  return Status::OK();
-}
-
-/// Both operands WAH: merge runs in compressed form. Zero fills on either
-/// side skip min(run, run) groups with no decoding at all; only
-/// literal-vs-literal pairs do bit work.
-Status IntersectWahWah(WahReader* a, WahReader* b, size_t nbits,
-                       BitVector* out) {
-  size_t total_groups = bit_util::CeilDiv(nbits, kWahGroupBits);
-  uint64_t* words = out->mutable_words();
-  size_t g = 0;
-  while (g < total_groups) {
-    PCUBE_RETURN_NOT_OK(a->Ensure(total_groups - g));
-    PCUBE_RETURN_NOT_OK(b->Ensure(total_groups - g));
-    if (!a->has_literal && !b->has_literal) {
-      size_t k = std::min<size_t>(std::min(a->run_left, b->run_left),
-                                  total_groups - g);
-      if (a->run_val && b->run_val) {
-        SetBitRange(words, g * kWahGroupBits,
-                    std::min((g + k) * kWahGroupBits, nbits));
-      }
-      a->run_left -= static_cast<uint32_t>(k);
-      b->run_left -= static_cast<uint32_t>(k);
-      g += k;
-    } else {
-      uint32_t v = a->GroupValue() & b->GroupValue();
-      if (v != 0) {
-        OrGroupAt(words, g * kWahGroupBits, v,
-                  std::min<size_t>(kWahGroupBits, nbits - g * kWahGroupBits));
-      }
-      a->ConsumeOne();
-      b->ConsumeOne();
-      ++g;
-    }
-  }
-  return Status::OK();
-}
-
-/// a is sparse: stream its set positions against fully decoded b.
-Status IntersectSparseDecoded(const uint8_t* data, size_t size,
-                              size_t* offset, const BitVector& b,
-                              size_t nbits, BitVector* out) {
-  uint32_t count = 0;
-  if (!GetVarint(data, size, offset, &count)) {
-    return Status::Corruption("sparse count truncated");
-  }
-  uint32_t pos = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t delta = 0;
-    if (!GetVarint(data, size, offset, &delta)) {
-      return Status::Corruption("sparse delta truncated");
-    }
-    pos += delta;
-    if (pos >= nbits) return Status::Corruption("sparse position out of range");
-    if (b.Get(pos)) out->Set(pos);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 void BitmapCodec::EncodeWith(BitmapScheme scheme, const BitVector& bits,
@@ -481,78 +320,6 @@ Status BitmapCodec::Decode(const uint8_t* data, size_t size, size_t* offset,
   PCUBE_RETURN_NOT_OK(ParseHeader(data, size, offset, &scheme, &nbits));
   *out = BitVector(nbits);
   return DecodeBody(scheme, data, size, offset, nbits, out);
-}
-
-Status BitmapCodec::IntersectEncoded(const uint8_t* a, size_t a_size,
-                                     size_t* a_offset, const uint8_t* b,
-                                     size_t b_size, size_t* b_offset,
-                                     BitVector* out) {
-  EncodedIntersectCounter()->Increment();
-  BitmapScheme a_scheme{};
-  BitmapScheme b_scheme{};
-  uint16_t a_bits = 0;
-  uint16_t b_bits = 0;
-  PCUBE_RETURN_NOT_OK(ParseHeader(a, a_size, a_offset, &a_scheme, &a_bits));
-  PCUBE_RETURN_NOT_OK(ParseHeader(b, b_size, b_offset, &b_scheme, &b_bits));
-  if (a_bits != b_bits) {
-    return Status::Corruption("encoded bitmaps disagree on bit count");
-  }
-  const size_t nbits = a_bits;
-  *out = BitVector(nbits);
-
-  // Sparse operands stream their positions against the other side decoded.
-  if (a_scheme == BitmapScheme::kSparse || b_scheme == BitmapScheme::kSparse) {
-    const uint8_t* s = a;
-    size_t s_size = a_size;
-    size_t* s_offset = a_offset;
-    BitmapScheme o_scheme = b_scheme;
-    const uint8_t* o = b;
-    size_t o_size = b_size;
-    size_t* o_offset = b_offset;
-    if (a_scheme != BitmapScheme::kSparse) {
-      s = b, s_size = b_size, s_offset = b_offset;
-      o = a, o_size = a_size, o_offset = a_offset, o_scheme = a_scheme;
-    }
-    BitVector other(nbits);
-    PCUBE_RETURN_NOT_OK(DecodeBody(o_scheme, o, o_size, o_offset, nbits,
-                                   &other));
-    return IntersectSparseDecoded(s, s_size, s_offset, other, nbits, out);
-  }
-
-  // Verbatim x verbatim: both payloads word-load, one pass of the 256-bit
-  // AND kernel.
-  if (a_scheme == BitmapScheme::kVerbatim &&
-      b_scheme == BitmapScheme::kVerbatim) {
-    PCUBE_RETURN_NOT_OK(DecodeVerbatimBody(a, a_size, a_offset, nbits, out));
-    BitVector other(nbits);
-    PCUBE_RETURN_NOT_OK(DecodeVerbatimBody(b, b_size, b_offset, nbits,
-                                           &other));
-    simd::AndWords(out->mutable_words(), out->words().data(),
-                   other.words().data(), out->words().size());
-    return Status::OK();
-  }
-
-  // At least one WAH operand: runs skip without decoding.
-  if (a_scheme == BitmapScheme::kWah && b_scheme == BitmapScheme::kWah) {
-    WahReader ra{a, a_size, a_offset};
-    WahReader rb{b, b_size, b_offset};
-    return IntersectWahWah(&ra, &rb, nbits, out);
-  }
-  const uint8_t* w = a;
-  size_t w_size = a_size;
-  size_t* w_offset = a_offset;
-  const uint8_t* v = b;
-  size_t v_size = b_size;
-  size_t* v_offset = b_offset;
-  if (a_scheme != BitmapScheme::kWah) {
-    w = b, w_size = b_size, w_offset = b_offset;
-    v = a, v_size = a_size, v_offset = a_offset;
-  }
-  BitVector decoded(nbits);
-  PCUBE_RETURN_NOT_OK(DecodeVerbatimBody(v, v_size, v_offset, nbits,
-                                         &decoded));
-  WahReader rw{w, w_size, w_offset};
-  return IntersectWahDecoded(&rw, decoded, nbits, out);
 }
 
 }  // namespace pcube

@@ -48,19 +48,6 @@ class BitmapCodec {
   static Status Decode(const uint8_t* data, size_t size, size_t* offset,
                        BitVector* out);
 
-  /// Decodes the intersection of two encoded bit arrays (which must agree
-  /// on their bit count) without fully decoding both: WAH fills skip whole
-  /// runs in compressed form, literal and verbatim words fall back to the
-  /// 256-bit vector kernel, sparse operands stream their set positions
-  /// against the other side. Advances both offsets past their encodings.
-  /// This is the kernel entry point the scatter-gather merge arc builds on
-  /// (ROADMAP item 2); Decode + InplaceAnd is the reference it must match
-  /// bit for bit (tests/simd_kernels_test.cc).
-  static Status IntersectEncoded(const uint8_t* a, size_t a_size,
-                                 size_t* a_offset, const uint8_t* b,
-                                 size_t b_size, size_t* b_offset,
-                                 BitVector* out);
-
   /// Size in bytes the encoding of `bits` would occupy (header included).
   static size_t EncodedSize(const BitVector& bits);
 

@@ -1,4 +1,4 @@
-// Monotone data epochs: the invalidation backbone of both cache levels.
+// Monotone data epochs: the invalidation backbone of the result cache.
 // The Workbench owns one DataEpoch; every incremental maintenance step
 // (PCube::ApplyChanges, the paper's Fig. 7 path) bumps the epoch of each
 // affected cell, and full rebuilds bump everything. Cache entries record

@@ -1,5 +1,5 @@
-// Segmented-LRU replacement — the LRU/LFU hybrid used by both cache
-// levels. New entries enter a probationary segment; a hit promotes into a
+// Segmented-LRU replacement — the LRU/LFU hybrid used by the result
+// cache. New entries enter a probationary segment; a hit promotes into a
 // protected segment capped at a fraction of the budget, whose overflow
 // demotes back to probation. One-shot fills therefore wash through
 // probation without displacing the recurring working set, which is the

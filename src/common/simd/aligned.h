@@ -1,9 +1,9 @@
 // 32-byte-aligned storage for kernel operands. The AVX2 kernels read their
 // inputs with aligned 256-bit loads whenever the base pointer allows it, so
-// every word array that can reach a kernel — BitVector words, FragmentCache
-// blocks, DominanceWindow columns — allocates through this allocator. That
-// is the "alignment contract" of DESIGN.md §12: an AlignedVector's data()
-// is always 32-byte aligned; kernels may rely on it for the base pointer
+// every word array that can reach a kernel — BitVector words and
+// DominanceWindow columns — allocates through this allocator. That is the
+// "alignment contract" of DESIGN.md §12: an AlignedVector's data() is
+// always 32-byte aligned; kernels may rely on it for the base pointer
 // (never for arbitrary interior offsets).
 #pragma once
 

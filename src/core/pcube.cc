@@ -94,8 +94,7 @@ Result<std::unique_ptr<BooleanProbe>> PCube::MakeProbe(
     CellId cell = registry_.Lookup(preds);
     if (cell != CellRegistry::kUnknownCell) {
       std::vector<SignatureCursor> cursors;
-      cursors.emplace_back(store_.get(), cell, fanout_, levels_,
-                           fragment_cache_);
+      cursors.emplace_back(store_.get(), cell, fanout_, levels_);
       return std::unique_ptr<BooleanProbe>(
           new SignatureProbe(std::move(cursors)));
     }
@@ -105,7 +104,7 @@ Result<std::unique_ptr<BooleanProbe>> PCube::MakeProbe(
   cursors.reserve(preds.size());
   for (const Predicate& p : preds.predicates()) {
     cursors.emplace_back(store_.get(), AtomicCellId(p.dim, p.value), fanout_,
-                         levels_, fragment_cache_);
+                         levels_);
   }
   return std::unique_ptr<BooleanProbe>(new SignatureProbe(std::move(cursors)));
 }

@@ -23,7 +23,6 @@
 #include <memory>
 
 #include "cache/epoch.h"
-#include "cache/fragment_cache.h"
 #include "core/bloom_store.h"
 #include "core/probe.h"
 #include "core/signature_builder.h"
@@ -73,14 +72,10 @@ class PCube {
   Result<std::unique_ptr<BooleanProbe>> MakeBloomProbe(
       const PredicateSet& preds) const;
 
-  /// Attaches the cache layer (both optional, owned by the Workbench and
-  /// outliving the cube). When set, MakeProbe hands the fragment cache to
-  /// every cursor, and ApplyChanges/Rebuild bump `epoch` so stale cache
-  /// entries (both levels) are detected at lookup.
-  void AttachCaches(DataEpoch* epoch, FragmentCache* fragment_cache) {
-    epoch_ = epoch;
-    fragment_cache_ = fragment_cache;
-  }
+  /// Attaches the invalidation epochs (owned by the Workbench and outliving
+  /// the cube): ApplyChanges/Rebuild bump `epoch` so stale result-cache
+  /// entries are detected at lookup.
+  void AttachEpoch(DataEpoch* epoch) { epoch_ = epoch; }
 
   uint32_t fanout() const { return fanout_; }
   int levels() const { return levels_; }
@@ -125,7 +120,6 @@ class PCube {
   int num_bool_dims_ = 0;
   uint64_t num_cells_ = 0;
   DataEpoch* epoch_ = nullptr;
-  FragmentCache* fragment_cache_ = nullptr;
 };
 
 }  // namespace pcube

@@ -1,7 +1,5 @@
 #include "core/probe.h"
 
-#include "bitmap/codec.h"
-
 namespace pcube {
 
 Status BooleanProbe::FilterChildren(const Path& parent, const NodeView& node,
@@ -16,13 +14,6 @@ Status BooleanProbe::FilterChildren(const Path& parent, const NodeView& node,
     if (!*pass) survivors->Clear(s);
   }
   return Status::OK();
-}
-
-SignatureProbe::SignatureProbe(std::vector<SignatureCursor> cursors)
-    : cursors_(std::move(cursors)) {
-  if (cursors_.size() >= 2) {
-    for (auto& c : cursors_) c.set_keep_encoded(true);
-  }
 }
 
 Result<bool> SignatureProbe::Test(const Path& path) {
@@ -74,19 +65,8 @@ Result<const BitVector*> SignatureProbe::FusedNode(uint64_t sid) {
     }
   }
   // Every cursor now holds the node; its arrays stay put while we read.
-  BitVector fused;
-  const std::vector<uint8_t>* a = cursors_[0].EncodedNode(sid);
-  const std::vector<uint8_t>* b = cursors_[1].EncodedNode(sid);
-  if (a != nullptr && b != nullptr) {
-    size_t a_off = 0;
-    size_t b_off = 0;
-    PCUBE_RETURN_NOT_OK(BitmapCodec::IntersectEncoded(
-        a->data(), a->size(), &a_off, b->data(), b->size(), &b_off, &fused));
-  } else {
-    fused = *cursors_[0].NodeBits(sid);
-    fused.InplaceAnd(*cursors_[1].NodeBits(sid));
-  }
-  for (size_t i = 2; i < cursors_.size(); ++i) {
+  BitVector fused = *cursors_[0].NodeBits(sid);
+  for (size_t i = 1; i < cursors_.size(); ++i) {
     fused.InplaceAnd(*cursors_[i].NodeBits(sid));
   }
   return &**fused_.TryEmplace(sid, std::move(fused)).first;

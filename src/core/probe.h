@@ -122,14 +122,12 @@ class TrueProbe : public BooleanProbe {
 ///
 /// With a single cursor, Test delegates straight to it. With two or more,
 /// the probe fuses the cursors' node arrays level by level: at each path
-/// prefix it materialises every cursor's node, intersects the first pair in
-/// compressed form (BitmapCodec::IntersectEncoded — WAH fills skip whole
-/// runs without decoding) with the remaining cursors ANDed in, and memoises
-/// the fused array under the node's SID so deeper probes of the same
-/// subtree test one bit array instead of one per predicate. Pruning
-/// decisions are identical to the cursor-major loop — a path passes iff
-/// every cursor's bit is set at every level — only the order partial
-/// signatures are faulted in differs.
+/// prefix it materialises every cursor's node, ANDs the decoded arrays
+/// (BitVector::InplaceAnd) and memoises the fused array under the node's
+/// SID so deeper probes of the same subtree test one bit array instead of
+/// one per predicate. Pruning decisions are identical to the cursor-major
+/// loop — a path passes iff every cursor's bit is set at every level — only
+/// the order partial signatures are faulted in differs.
 ///
 /// FilterChildren looks up the parent's node once — the cursor's array,
 /// or the fused array with two or more cursors — and ANDs it into the
@@ -139,7 +137,8 @@ class TrueProbe : public BooleanProbe {
 /// as entry-at-a-time pruning.
 class SignatureProbe : public BooleanProbe {
  public:
-  explicit SignatureProbe(std::vector<SignatureCursor> cursors);
+  explicit SignatureProbe(std::vector<SignatureCursor> cursors)
+      : cursors_(std::move(cursors)) {}
 
   Result<bool> Test(const Path& path) override;
   Status FilterChildren(const Path& parent, const NodeView& node,

@@ -93,10 +93,9 @@ std::vector<PartialSignature> DecomposeSignature(const Signature& sig,
   return out;
 }
 
-Status DecodePartialSignature(
-    uint64_t root_sid, const std::vector<uint8_t>& bytes,
-    SignatureFragment* fragment,
-    std::vector<std::pair<uint64_t, BitVector>>* added) {
+Status DecodePartialSignature(uint64_t root_sid,
+                              const std::vector<uint8_t>& bytes,
+                              SignatureFragment* fragment) {
   const int levels = fragment->levels();
   const uint32_t m = fragment->fanout();
   size_t offset = 0;
@@ -109,7 +108,6 @@ Status DecodePartialSignature(
       // Cut point: the rest of the subtree is in later partials.
       if (offset >= bytes.size()) break;
       BitVector decoded;
-      const size_t start = offset;
       PCUBE_RETURN_NOT_OK(
           BitmapCodec::Decode(bytes.data(), bytes.size(), &offset, &decoded));
       if (!decoded.empty() && decoded.size() != m) {
@@ -119,12 +117,7 @@ Status DecodePartialSignature(
         // SIDs, and a narrower one could not be ANDed with its peers.
         return Status::Corruption("signature node width differs from fanout");
       }
-      if (added != nullptr) added->emplace_back(x.sid, decoded);
-      std::vector<uint8_t> wire;
-      if (fragment->keep_encoded()) {
-        wire.assign(bytes.begin() + start, bytes.begin() + offset);
-      }
-      bits = fragment->AddNode(x.sid, std::move(decoded), std::move(wire));
+      bits = fragment->AddNode(x.sid, std::move(decoded));
     }
     if (x.depth + 1 < levels) {
       for (size_t bit = bits->FindNextSet(0); bit < bits->size();

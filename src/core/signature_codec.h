@@ -45,34 +45,12 @@ class SignatureFragment {
   uint32_t fanout() const { return m_; }
   int levels() const { return levels_; }
 
-  const BitVector* Node(uint64_t sid) const {
-    const Entry* e = nodes_.Find(sid);
-    return e == nullptr ? nullptr : &e->bits;
-  }
+  const BitVector* Node(uint64_t sid) const { return nodes_.Find(sid); }
 
   /// Adds node `sid` unless the fragment already holds it (then a no-op).
-  /// `wire`, one BitmapCodec encoding of `bits`, is retained only under
-  /// keep_encoded(). Returns the stored bits, valid until the next AddNode.
-  const BitVector* AddNode(uint64_t sid, BitVector bits,
-                           std::vector<uint8_t> wire = {}) {
-    if (!keep_encoded_) wire.clear();
-    return &nodes_.TryEmplace(sid, std::move(bits), std::move(wire))
-                .first->bits;
-  }
-
-  /// When set, DecodePartialSignature keeps each contributed node's
-  /// compressed wire bytes next to the decoded array, so multi-predicate
-  /// probes can intersect node pairs in compressed form
-  /// (BitmapCodec::IntersectEncoded) instead of walking decoded words.
-  void set_keep_encoded(bool keep) { keep_encoded_ = keep; }
-  bool keep_encoded() const { return keep_encoded_; }
-
-  /// The compressed wire bytes of a node, or null when not retained (nodes
-  /// replayed from the fragment cache arrive decoded; callers fall back to
-  /// the decoded AND).
-  const std::vector<uint8_t>* EncodedNode(uint64_t sid) const {
-    const Entry* e = nodes_.Find(sid);
-    return e == nullptr || e->wire.empty() ? nullptr : &e->wire;
+  /// Returns the stored bits, valid until the next AddNode.
+  const BitVector* AddNode(uint64_t sid, BitVector bits) {
+    return nodes_.TryEmplace(sid, std::move(bits)).first;
   }
 
   size_t num_nodes() const { return nodes_.size(); }
@@ -82,15 +60,9 @@ class SignatureFragment {
   Signature ToSignature() const;
 
  private:
-  struct Entry {
-    BitVector bits;
-    std::vector<uint8_t> wire;  ///< empty unless keep_encoded
-  };
-
   uint32_t m_;
   int levels_;
-  bool keep_encoded_ = false;
-  SidTable<Entry> nodes_;
+  SidTable<BitVector> nodes_;
 };
 
 /// Splits `sig` into compressed partial signatures, each with payload size
@@ -102,15 +74,8 @@ std::vector<PartialSignature> DecomposeSignature(const Signature& sig,
 /// `fragment`, skipping nodes the fragment already contains. Fails with
 /// Corruption when the payload does not align with the fragment's current
 /// state — which happens if ancestor partials were not decoded first.
-///
-/// When `added` is non-null it collects (sid, bits) for every node this
-/// call contributed, in decode order. Because cursors always load partials
-/// along root-to-leaf prefixes in order, the contributed set is a pure
-/// function of (cell, sid) — which is what makes the decode cacheable and
-/// replayable into another query's fragment (cache/fragment_cache.h).
-Status DecodePartialSignature(
-    uint64_t root_sid, const std::vector<uint8_t>& bytes,
-    SignatureFragment* fragment,
-    std::vector<std::pair<uint64_t, BitVector>>* added = nullptr);
+Status DecodePartialSignature(uint64_t root_sid,
+                              const std::vector<uint8_t>& bytes,
+                              SignatureFragment* fragment);
 
 }  // namespace pcube

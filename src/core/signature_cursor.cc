@@ -4,39 +4,14 @@ namespace pcube {
 
 Status SignatureCursor::LoadPartialAt(uint64_t sid) {
   if (!attempted_.Insert(sid)) return Status::OK();
-  if (cache_ != nullptr) {
-    if (auto hit = cache_->Lookup(cell_, sid)) {
-      // Replay the cached decode. The contributed node set is a pure
-      // function of (cell, sid) because every cursor loads partials along
-      // root-to-leaf prefixes in the same order, so insertion is exact.
-      for (size_t i = 0; i < hit->num_nodes(); ++i) {
-        // no-op if an ancestor partial already supplied the node
-        fragment_.AddNode(hit->sid(i), hit->NodeBits(i));
-      }
-      return Status::OK();
-    }
-  }
-  // Read the epoch stamp BEFORE the store access: a concurrent update can
-  // then only make the entry look stale at lookup, never wrongly fresh.
-  uint64_t stamp =
-      cache_ != nullptr ? cache_->epoch()->OfCell(cell_) : 0;
   auto bytes = store_->LoadPartial(cell_, sid);
   if (!bytes.ok()) {
-    if (bytes.status().IsNotFound()) {
-      // Negative entry: the probing rule touches many absent SIDs.
-      if (cache_ != nullptr) cache_->Insert(cell_, sid, false, {}, stamp);
-      return Status::OK();
-    }
+    // The probing rule touches many SIDs that root no partial.
+    if (bytes.status().IsNotFound()) return Status::OK();
     return bytes.status();
   }
   ++partials_loaded_;
-  std::vector<std::pair<uint64_t, BitVector>> added;
-  PCUBE_RETURN_NOT_OK(DecodePartialSignature(
-      sid, *bytes, &fragment_, cache_ != nullptr ? &added : nullptr));
-  if (cache_ != nullptr) {
-    cache_->Insert(cell_, sid, true, std::move(added), stamp);
-  }
-  return Status::OK();
+  return DecodePartialSignature(sid, *bytes, &fragment_);
 }
 
 Result<const BitVector*> SignatureCursor::LoadNode(uint64_t sid) {

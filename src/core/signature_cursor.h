@@ -17,7 +17,6 @@
 // the partials already probed are a SidSet.
 #pragma once
 
-#include "cache/fragment_cache.h"
 #include "core/sid_table.h"
 #include "core/signature_codec.h"
 #include "core/signature_store.h"
@@ -27,17 +26,9 @@ namespace pcube {
 /// Incremental reader of one cell's stored signature.
 class SignatureCursor {
  public:
-  /// `cache` (optional) is the shared L2 fragment cache: partial loads are
-  /// served from it when possible and publish their decodes into it,
-  /// stamped with the cell's epoch read before the store access. L2 hits
-  /// do not count as partials_loaded (no page was read, nothing decoded).
   SignatureCursor(const SignatureStore* store, CellId cell, uint32_t fanout,
-                  int levels, FragmentCache* cache = nullptr)
-      : store_(store),
-        cell_(cell),
-        cache_(cache),
-        fragment_(fanout, levels),
-        levels_(levels) {}
+                  int levels)
+      : store_(store), cell_(cell), fragment_(fanout, levels), levels_(levels) {}
 
   /// True iff the node/tuple addressed by `path` (length in [1, levels]) is
   /// marked present for this cell. Loads partial signatures on demand.
@@ -47,11 +38,6 @@ class SignatureCursor {
   uint64_t partials_loaded() const { return partials_loaded_; }
 
   const SignatureFragment& fragment() const { return fragment_; }
-
-  /// Multi-cursor fusion support (SignatureProbe): retain each decoded
-  /// node's compressed wire bytes so node pairs can be intersected in
-  /// compressed form. Must be set before the first Test.
-  void set_keep_encoded(bool keep) { fragment_.set_keep_encoded(keep); }
 
   /// Bits of the node whose SID is `sid`, loading partials on demand; null
   /// when the cell's signature provably lacks the node. The array is
@@ -66,13 +52,6 @@ class SignatureCursor {
   /// Decoded bit array of a materialised node, or null.
   const BitVector* NodeBits(uint64_t sid) const { return fragment_.Node(sid); }
 
-  /// Compressed wire bytes of a materialised node, or null when not
-  /// retained (keep_encoded off, or the node was replayed from the L2
-  /// fragment cache, which stores decoded arrays only).
-  const std::vector<uint8_t>* EncodedNode(uint64_t sid) const {
-    return fragment_.EncodedNode(sid);
-  }
-
   uint32_t fanout() const { return fragment_.fanout(); }
 
  private:
@@ -84,7 +63,6 @@ class SignatureCursor {
 
   const SignatureStore* store_;
   CellId cell_;
-  FragmentCache* cache_;
   SignatureFragment fragment_;
   int levels_;
   SidSet attempted_;  // partial SIDs already probed (hit or miss)

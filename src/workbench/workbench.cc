@@ -361,15 +361,11 @@ Status Workbench::Save() {
 }
 
 void Workbench::SetUpCaches(const WorkbenchOptions& options) {
-  if (options.fragment_cache_mb > 0) {
-    fragment_cache_ = std::make_unique<FragmentCache>(
-        options.fragment_cache_mb << 20, &epoch_);
-  }
   if (options.result_cache_mb > 0) {
     result_cache_ = std::make_unique<ResultCache>(
         options.result_cache_mb << 20, &epoch_, options.enable_containment);
   }
-  if (cube_ != nullptr) cube_->AttachCaches(&epoch_, fragment_cache_.get());
+  if (cube_ != nullptr) cube_->AttachEpoch(&epoch_);
   if (cube_ != nullptr && tree_ != nullptr) {
     shared_executor_ = std::make_unique<BatchExecutor>(
         tree_.get(), cube_.get(), /*pool=*/nullptr, /*query_log=*/nullptr,
@@ -679,11 +675,11 @@ void Workbench::ExportMetrics(MetricsRegistry* registry) const {
         ->Set(static_cast<double>(wal_->sync_count()));
   }
 
-  // Cache occupancy plus per-level hit rates. The caches report their
-  // event counters into the process-wide default registry; the rates here
-  // are derived from those so one scrape shows both.
-  MetricsRegistry& events = MetricsRegistry::Default();
+  // Result-cache occupancy plus its hit rate. The cache reports its event
+  // counters into the process-wide default registry; the rate here is
+  // derived from those so one scrape shows both.
   if (result_cache_ != nullptr) {
+    MetricsRegistry& events = MetricsRegistry::Default();
     registry->GetGauge("pcube_result_cache_bytes")
         ->Set(static_cast<double>(result_cache_->bytes()));
     registry->GetGauge("pcube_result_cache_entries")
@@ -694,18 +690,6 @@ void Workbench::ExportMetrics(MetricsRegistry* registry) const {
     double lookups =
         hits + events.GetCounter("pcube_result_cache_misses_total")->Value();
     registry->GetGauge("pcube_result_cache_hit_rate")
-        ->Set(lookups > 0 ? hits / lookups : 0.0);
-  }
-  if (fragment_cache_ != nullptr) {
-    registry->GetGauge("pcube_fragment_cache_bytes")
-        ->Set(static_cast<double>(fragment_cache_->bytes()));
-    registry->GetGauge("pcube_fragment_cache_entries")
-        ->Set(static_cast<double>(fragment_cache_->entries()));
-    double hits = events.GetCounter("pcube_fragment_cache_hits_total")->Value();
-    double lookups =
-        hits + events.GetCounter("pcube_fragment_cache_misses_total")->Value() +
-        events.GetCounter("pcube_fragment_cache_stale_total")->Value();
-    registry->GetGauge("pcube_fragment_cache_hit_rate")
         ->Set(lookups > 0 ? hits / lookups : 0.0);
   }
 }

@@ -15,7 +15,6 @@
 #include "baselines/domination_first.h"
 #include "baselines/index_merge.h"
 #include "cache/epoch.h"
-#include "cache/fragment_cache.h"
 #include "cache/result_cache.h"
 #include "common/metrics.h"
 #include "core/pcube.h"
@@ -81,11 +80,8 @@ struct WorkbenchOptions {
   /// store). Disarmed during Open's replay, armed before returning.
   FaultPlan wal_fault_plan;
   /// L1 semantic result cache budget in MiB (cache/result_cache.h); 0
-  /// disables the level. Served through QueryPlanner::Run and RunBatch.
+  /// disables it. Served through QueryPlanner::Run and RunBatch.
   size_t result_cache_mb = 16;
-  /// L2 decoded-signature fragment cache budget in MiB
-  /// (cache/fragment_cache.h); 0 disables the level.
-  size_t fragment_cache_mb = 16;
   /// Allow L1 containment reuse: answer predicates P' ⊇ P from the entry
   /// cached for P (top-k filter pass / skyline Lemma 2 drill-down).
   /// Exact-repeat and truncation hits work regardless.
@@ -146,8 +142,6 @@ class Workbench {
   DataEpoch* epoch() { return &epoch_; }
   /// L1 result cache, or null when options.result_cache_mb == 0.
   ResultCache* result_cache() { return result_cache_.get(); }
-  /// L2 fragment cache, or null when options.fragment_cache_mb == 0.
-  FragmentCache* fragment_cache() { return fragment_cache_.get(); }
 
   /// Optional value dictionaries for the boolean dimensions (set by CSV
   /// importers); persisted with Save() and restored by Open().
@@ -256,8 +250,9 @@ class Workbench {
 
   Workbench() : pool_(nullptr) {}
 
-  /// Creates the configured cache levels and attaches them (and the epoch
-  /// registry) to the cube; shared tail of Build() and Open().
+  /// Creates the configured result cache and the shared executor, and
+  /// attaches the epoch registry to the cube; shared tail of Build() and
+  /// Open().
   void SetUpCaches(const WorkbenchOptions& options);
 
   /// Seeds the write-path cursors from the (possibly replayed) WAL and
@@ -292,7 +287,6 @@ class Workbench {
   std::unique_ptr<RStarTree> tree_;
   std::unique_ptr<PCube> cube_;
   DataEpoch epoch_;
-  std::unique_ptr<FragmentCache> fragment_cache_;
   std::unique_ptr<ResultCache> result_cache_;
   /// Poolless executor behind RunShared (created with the caches; null when
   /// the instance was built without a cube).

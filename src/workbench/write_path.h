@@ -6,7 +6,7 @@
 // this class as their sole friend). Routing every mutation through one
 // class is what makes the epoch-stamping contract unbypassable: the cube
 // bumps the affected cells' DataEpochs inside ApplyChanges, and a cube-less
-// workbench gets the equivalent bump here, so both cache levels invalidate
+// workbench gets the equivalent bump here, so the result cache invalidates
 // exactly no matter how the batch reached the structures.
 //
 // Two callers, same code path:

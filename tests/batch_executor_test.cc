@@ -27,12 +27,11 @@ std::unique_ptr<Workbench> BuildBench(uint64_t rows,
   return std::move(*wb);
 }
 
-/// Options that disable both cache levels, for tests whose assertions
+/// Options that disable the result cache, for tests whose assertions
 /// require every query to actually run its engine.
 WorkbenchOptions NoCache() {
   WorkbenchOptions options;
   options.result_cache_mb = 0;
-  options.fragment_cache_mb = 0;
   return options;
 }
 

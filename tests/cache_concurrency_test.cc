@@ -1,6 +1,6 @@
 // Concurrency tests for the query cache, written for TSan (scripts/ci.sh
 // runs them under -fsanitize=thread): batch workers race each other on the
-// shared two-level cache while an updater thread applies Fig. 7 incremental
+// shared result cache while an updater thread applies Fig. 7 incremental
 // maintenance between batches, and every answer is checked against the
 // naive uncached reference over the data as it was when the query ran.
 //
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "cache/epoch.h"
-#include "cache/fragment_cache.h"
 #include "cache/result_cache.h"
 #include "common/metrics.h"
 #include "data/generators.h"
@@ -245,30 +244,6 @@ TEST(CacheConcurrencyTest, ResultCacheProtocolUnderRacingBumps) {
         (void)cache.Find(request, data);
       }
       if (i % 64 == 0) epoch.BumpCells({AtomicCellId(0, v)});
-    }
-  };
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 4; ++i) threads.emplace_back(worker, i);
-  for (auto& t : threads) t.join();
-
-  EXPECT_LE(cache.bytes(), budget);
-}
-
-TEST(CacheConcurrencyTest, FragmentCacheUnderRacingBumps) {
-  DataEpoch epoch;
-  const size_t budget = 64 * 1024;
-  FragmentCache cache(budget, &epoch);
-
-  auto worker = [&](int id) {
-    for (int i = 0; i < 4000; ++i) {
-      CellId cell = AtomicCellId(id % 2, static_cast<uint32_t>(i % 16));
-      uint64_t sid = static_cast<uint64_t>(i % 32);
-      if (i % 3 == 0) {
-        cache.Insert(cell, sid, i % 2 == 0, {}, epoch.OfCell(cell));
-      } else {
-        (void)cache.Lookup(cell, sid);
-      }
-      if (i % 128 == 0) epoch.BumpCells({cell});
     }
   };
   std::vector<std::thread> threads;

@@ -1,9 +1,9 @@
-// Two-level query cache tests (cache/): L1 semantic result cache semantics
-// — exact repeats, top-k truncation, containment reuse (skyline Lemma 2
-// drill-down, top-k filter pass), epoch staleness after Fig. 7 incremental
-// maintenance, capacity eviction — plus the L2 fragment cache's
-// decode-once behaviour, plan-hint bypass, and the corruption regression:
-// degraded answers must never populate the result cache.
+// Query cache tests (cache/): L1 semantic result cache semantics — exact
+// repeats, top-k truncation, containment reuse (skyline Lemma 2 drill-down,
+// top-k filter pass), epoch staleness after Fig. 7 incremental
+// maintenance, capacity eviction — plus plan-hint bypass and the
+// corruption regression: degraded answers must never populate the result
+// cache.
 // Run under TSan and ASan by scripts/ci.sh.
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cache/epoch.h"
-#include "cache/fragment_cache.h"
 #include "cache/result_cache.h"
 #include "common/metrics.h"
 #include "data/generators.h"
@@ -332,10 +331,8 @@ TEST(ResultCacheTest, ForcedPlanHintBypassesBothDirections) {
 TEST(ResultCacheTest, DisabledCacheLeavesQueriesUntouched) {
   WorkbenchOptions options;
   options.result_cache_mb = 0;
-  options.fragment_cache_mb = 0;
   auto wb = BuildBench(std::move(options));
   EXPECT_EQ(wb->result_cache(), nullptr);
-  EXPECT_EQ(wb->fragment_cache(), nullptr);
   QueryPlanner planner(wb.get());
   auto r1 = planner.Run(QueryRequest::Skyline({{0, 3}}));
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
@@ -392,67 +389,6 @@ TEST(ResultCacheTest, DegradedAnswersAreNeverCached) {
   EXPECT_EQ(r2->tids, r1->tids);
   EXPECT_EQ(wb->result_cache()->entries(), 0u);
   EXPECT_EQ(CounterValue("pcube_result_cache_inserts_total"), inserts_before);
-}
-
-// ------------------------------------------------------------ L2 fragments
-
-TEST(FragmentCacheTest, DecodeOnceAcrossColdStarts) {
-  auto wb = BuildBench();
-  PredicateSet preds{{0, 3}};
-
-  ASSERT_TRUE(wb->ColdStart().ok());
-  auto cold = wb->SignatureSkyline(preds);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  IoStats first = wb->IoSince();
-  EXPECT_GT(first.ReadCount(IoCategory::kSignature), 0u);
-
-  // Empty the buffer pool again: without L2 the rerun would re-fetch and
-  // re-decode the signature pages; the fragment cache sits above the pool
-  // and replays the decoded nodes instead.
-  ASSERT_TRUE(wb->ColdStart().ok());
-  auto warm = wb->SignatureSkyline(preds);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  IoStats second = wb->IoSince();
-  EXPECT_EQ(second.ReadCount(IoCategory::kSignature), 0u);
-  EXPECT_GT(wb->fragment_cache()->entries(), 0u);
-
-  // Same answer either way.
-  ASSERT_EQ(warm->skyline.size(), cold->skyline.size());
-  for (size_t i = 0; i < warm->skyline.size(); ++i) {
-    EXPECT_EQ(warm->skyline[i].id, cold->skyline[i].id);
-  }
-}
-
-TEST(FragmentCacheUnitTest, NegativeEntriesAndEpochStaleness) {
-  DataEpoch epoch;
-  FragmentCache cache(1 << 20, &epoch);
-  const CellId cell = AtomicCellId(1, 4);
-
-  EXPECT_EQ(cache.Lookup(cell, 5), nullptr);
-  cache.Insert(cell, 5, /*present=*/true, {}, epoch.OfCell(cell));
-  // Negative entry: the store has no partial for SID 6 — cache that too.
-  cache.Insert(cell, 6, /*present=*/false, {}, epoch.OfCell(cell));
-
-  auto hit = cache.Lookup(cell, 5);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_TRUE(hit->present);
-  auto negative = cache.Lookup(cell, 6);
-  ASSERT_NE(negative, nullptr);
-  EXPECT_FALSE(negative->present);
-  EXPECT_EQ(cache.entries(), 2u);
-
-  uint64_t stale_before = CounterValue("pcube_fragment_cache_stale_total");
-  epoch.BumpCells({cell});
-  EXPECT_EQ(cache.Lookup(cell, 5), nullptr);
-  EXPECT_EQ(cache.Lookup(cell, 6), nullptr);
-  EXPECT_EQ(CounterValue("pcube_fragment_cache_stale_total"),
-            stale_before + 2);
-  EXPECT_EQ(cache.entries(), 0u);
-
-  // A different cell is unaffected by the bump.
-  const CellId other = AtomicCellId(0, 0);
-  cache.Insert(other, 1, true, {}, epoch.OfCell(other));
-  EXPECT_NE(cache.Lookup(other, 1), nullptr);
 }
 
 }  // namespace

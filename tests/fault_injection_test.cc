@@ -222,13 +222,12 @@ std::unique_ptr<Workbench> BuildBench(WorkbenchOptions options,
   config.num_pref = 2;
   config.bool_cardinality = 8;
   config.seed = 11;
-  // These tests inject faults into PHYSICAL reads; both cache levels sit
-  // above the page manager and would mask the damage (L2 keeps clean decoded
-  // signature fragments across ColdStart, L1 keeps clean answers), turning
-  // every assertion about degradation into a no-op. cache_test.cc covers the
-  // cache/corruption interaction explicitly.
+  // These tests inject faults into PHYSICAL reads; the result cache sits
+  // above the page manager and would mask the damage (it keeps clean
+  // answers across ColdStart), turning every assertion about degradation
+  // into a no-op. cache_test.cc covers the cache/corruption interaction
+  // explicitly.
   options.result_cache_mb = 0;
-  options.fragment_cache_mb = 0;
   auto wb = Workbench::Build(GenerateSynthetic(config), std::move(options));
   PCUBE_CHECK(wb.ok()) << wb.status().ToString();
   return std::move(*wb);

@@ -5,9 +5,7 @@
 // a forwarding decorator that overrides only Test/TestData, so the engines
 // take BooleanProbe's per-child default. The answers, the Lemma 2 lists
 // (id, path, key and order), every engine counter except sig_seconds, and
-// the partial-signature loads must agree exactly. With the L2 fragment cache
-// on, equal loads in equal order keep the two workbenches' caches in step,
-// so partials_loaded also pins what the cache replays.
+// the partial-signature loads must agree exactly.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -69,7 +67,6 @@ void ExpectSameCounters(const EngineCounters& a, const EngineCounters& b,
 struct InstanceParam {
   const char* name;
   uint32_t max_entries;  // 0 = page-derived fanout
-  size_t fragment_cache_mb;
   int materialize_max_dims;
 };
 
@@ -89,7 +86,6 @@ class FilterChildrenTest : public ::testing::TestWithParam<InstanceParam> {
     config.seed = 1417;
     WorkbenchOptions options;
     options.rtree.max_entries = GetParam().max_entries;
-    options.fragment_cache_mb = GetParam().fragment_cache_mb;
     options.pcube.materialize_max_dims = GetParam().materialize_max_dims;
     options.result_cache_mb = 0;
     for (auto* wb : {&fast_, &slow_}) {
@@ -285,11 +281,9 @@ TEST_P(FilterChildrenTest, ZeroWidthRootArrayPrunesEveryChild) {
 
 INSTANTIATE_TEST_SUITE_P(
     Instances, FilterChildrenTest,
-    ::testing::Values(InstanceParam{"PageFanoutNoL2", 0, 0, 1},
-                      InstanceParam{"PageFanoutL2", 0, 16, 1},
-                      InstanceParam{"DeepTreeNoL2", 6, 0, 1},
-                      InstanceParam{"DeepTreeL2", 6, 16, 1},
-                      InstanceParam{"DeepTreeCompositeL2", 6, 16, 2}),
+    ::testing::Values(InstanceParam{"PageFanout", 0, 1},
+                      InstanceParam{"DeepTree", 6, 1},
+                      InstanceParam{"DeepTreeComposite", 6, 2}),
     [](const ::testing::TestParamInfo<InstanceParam>& info) {
       return std::string(info.param.name);
     });

@@ -68,6 +68,51 @@ TEST_F(ProbeFixture, SignatureProbeAndsItsCursors) {
     ASSERT_TRUE(rc.ok());
     EXPECT_EQ(*rc, *ra && *rb) << PathToString(p);
   }
+
+  // Node-at-a-time: at every R-tree node the fused probe's FilterChildren
+  // mask is the AND of the single-predicate probes' masks. A probe is asked
+  // about a node only when the node passes it (FilterChildren's
+  // precondition); a node that fails contributes the empty mask.
+  const RStarTree& tree = *wb_->tree();
+  auto mask = [](BooleanProbe* probe, const Path& path, const NodeView& node) {
+    ChildMask m;
+    for (uint32_t s = 0; s < node.max_entries(); ++s) {
+      if (node.Valid(s)) m.Set(s);
+    }
+    if (!path.empty()) {
+      auto pass = probe->Test(path);
+      PCUBE_CHECK(pass.ok()) << pass.status().ToString();
+      if (!*pass) return ChildMask();
+    }
+    PCUBE_CHECK_OK(probe->FilterChildren(path, node, &m));
+    return m;
+  };
+  std::vector<std::pair<PageId, Path>> stack = {{tree.root(), Path()}};
+  size_t nodes = 0;
+  size_t surviving = 0;
+  while (!stack.empty()) {
+    auto [pid, path] = stack.back();
+    stack.pop_back();
+    auto handle = tree.ReadNode(pid);
+    ASSERT_TRUE(handle.ok());
+    NodeView node(handle->get(), tree.dims());
+    const ChildMask fused = mask(combined->get(), path, node);
+    const ChildMask ma = mask(a->get(), path, node);
+    const ChildMask mb = mask(b->get(), path, node);
+    ++nodes;
+    for (uint32_t s = 0; s < node.max_entries(); ++s) {
+      if (!node.Valid(s)) continue;
+      EXPECT_EQ(fused.Get(s), ma.Get(s) && mb.Get(s))
+          << PathToString(path) << " slot " << s;
+      surviving += fused.Get(s);
+      if (node.is_leaf()) continue;
+      Path child = path;
+      child.push_back(static_cast<uint16_t>(s + 1));
+      stack.emplace_back(node.GetId(s), child);
+    }
+  }
+  EXPECT_GT(nodes, 1u);
+  EXPECT_GT(surviving, 0u);
 }
 
 TEST_F(ProbeFixture, SignatureProbeCountsPartialLoads) {

@@ -165,7 +165,6 @@ class ServerOverloadTest : public ::testing::Test {
     config.seed = 99;
     WorkbenchOptions wo;
     wo.result_cache_mb = 0;  // every request executes: real, steady load
-    wo.fragment_cache_mb = 4;
     auto built = Workbench::Build(GenerateSynthetic(config), wo);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     wb_ = std::move(*built);

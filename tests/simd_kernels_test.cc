@@ -1,18 +1,16 @@
 // Differential property tests for the SIMD kernel layer (DESIGN.md §12):
 // the scalar implementations are the ground truth, and every dispatched or
 // AVX2 path must match them bit for bit on randomized inputs. Covers the
-// word kernels (with the dst-aliases-a in-place case), the encoded
-// intersection across all scheme pairs (kVerbatim/kWah/kSparse), and the
-// batched dominance window (with deliberate coordinate ties). Runs under
-// asan and ubsan labels so lifetime and arithmetic bugs in the intrinsics
-// paths surface in CI.
+// word kernels (with the dst-aliases-a in-place case) and the batched
+// dominance window (with deliberate coordinate ties). Runs under asan and
+// ubsan labels so lifetime and arithmetic bugs in the intrinsics paths
+// surface in CI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "bitmap/codec.h"
 #include "common/random.h"
 #include "common/simd/simd.h"
 #include "common/simd/word_kernels.h"
@@ -89,98 +87,6 @@ TEST(WordKernelTest, ScalarVsDispatchAndAvx2) {
     simd::AndWords(inplace.data(), inplace.data(), b.data(), n);
     EXPECT_EQ(inplace, ref);
   }
-}
-
-// Random vectors biased toward runs: WAH's fill paths only trigger on
-// aligned 31-bit groups of all-zero/all-one, which uniform bits never form.
-BitVector RunBiasedVector(Random* rng, size_t num_bits) {
-  BitVector v(num_bits);
-  size_t i = 0;
-  while (i < num_bits) {
-    size_t run = 1 + rng->Uniform(96);
-    bool ones;
-    switch (rng->Uniform(3)) {
-      case 0: ones = false; break;
-      case 1: ones = true; break;
-      default: ones = rng->Uniform(2) == 1; break;
-    }
-    for (; run > 0 && i < num_bits; --run, ++i) {
-      if (ones ? rng->Uniform(8) != 0 : rng->Uniform(8) == 0) v.Set(i);
-    }
-  }
-  return v;
-}
-
-TEST(EncodedIntersectTest, MatchesDecodeThenAndAcrossAllSchemePairs) {
-  Random rng(11);
-  const BitmapScheme kSchemes[] = {BitmapScheme::kVerbatim,
-                                   BitmapScheme::kWah, BitmapScheme::kSparse};
-  for (int trial = 0; trial < 120; ++trial) {
-    size_t n = 1 + rng.Uniform(900);
-    BitVector a = RunBiasedVector(&rng, n);
-    BitVector b = RunBiasedVector(&rng, n);
-    BitVector expected = a;
-    expected.InplaceAnd(b);
-
-    for (BitmapScheme sa : kSchemes) {
-      for (BitmapScheme sb : kSchemes) {
-        std::vector<uint8_t> buf_a, buf_b;
-        BitmapCodec::EncodeWith(sa, a, &buf_a);
-        BitmapCodec::EncodeWith(sb, b, &buf_b);
-        // Trailing garbage ensures the intersection consumes exactly one
-        // encoding per side, like a reader inside a partial signature.
-        buf_a.push_back(0xAB);
-        buf_b.push_back(0xCD);
-        size_t off_a = 0, off_b = 0;
-        BitVector out;
-        auto st = BitmapCodec::IntersectEncoded(buf_a.data(), buf_a.size(),
-                                                &off_a, buf_b.data(),
-                                                buf_b.size(), &off_b, &out);
-        ASSERT_TRUE(st.ok()) << st.ToString();
-        EXPECT_EQ(off_a, buf_a.size() - 1);
-        EXPECT_EQ(off_b, buf_b.size() - 1);
-        EXPECT_TRUE(out == expected)
-            << "n=" << n << " schemes " << static_cast<int>(sa) << "x"
-            << static_cast<int>(sb);
-      }
-    }
-  }
-}
-
-TEST(EncodedIntersectTest, EmptyAndFullVectors) {
-  for (size_t n : {1u, 31u, 62u, 63u, 64u, 300u}) {
-    BitVector zero(n);
-    BitVector full(n);
-    for (size_t i = 0; i < n; ++i) full.Set(i);
-    for (const BitVector* x : {&zero, &full}) {
-      for (const BitVector* y : {&zero, &full}) {
-        std::vector<uint8_t> bx, by;
-        BitmapCodec::Encode(*x, &bx);
-        BitmapCodec::Encode(*y, &by);
-        size_t ox = 0, oy = 0;
-        BitVector out;
-        ASSERT_TRUE(BitmapCodec::IntersectEncoded(bx.data(), bx.size(), &ox,
-                                                  by.data(), by.size(), &oy,
-                                                  &out)
-                        .ok());
-        BitVector expected = *x;
-        expected.InplaceAnd(*y);
-        EXPECT_TRUE(out == expected) << "n=" << n;
-      }
-    }
-  }
-}
-
-TEST(EncodedIntersectTest, RejectsMismatchedBitCounts) {
-  BitVector a(64), b(65);
-  std::vector<uint8_t> ba, bb;
-  BitmapCodec::Encode(a, &ba);
-  BitmapCodec::Encode(b, &bb);
-  size_t oa = 0, ob = 0;
-  BitVector out;
-  EXPECT_FALSE(BitmapCodec::IntersectEncoded(ba.data(), ba.size(), &oa,
-                                             bb.data(), bb.size(), &ob, &out)
-                   .ok());
 }
 
 // Naive dominance count, saturated: what both kernel paths must return.

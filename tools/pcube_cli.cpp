@@ -82,10 +82,9 @@
 //   --fault-plan SPEC               inject storage faults while queries run,
 //                                   e.g. "seed=7,read_error=0.01,bit_flip=
 //                                   0.001" (see storage/fault_injection.h)
-//   --cache MB                      budget PER LEVEL for the two query cache
-//                                   levels (L1 semantic results, L2 decoded
-//                                   signature fragments; default 16)
-//   --no-cache                      disable both cache levels
+//   --cache MB                      budget of the semantic result cache
+//                                   (default 16)
+//   --no-cache                      disable the result cache
 //
 // Predicate values use the stored dictionary when the database came from a
 // CSV import ("color=red"); raw codes also work ("color=#3" or "2=#3").
@@ -222,11 +221,8 @@ std::unique_ptr<Workbench> OpenDb(const Args& args) {
   }
   if (args.Has("no-cache")) {
     options.result_cache_mb = 0;
-    options.fragment_cache_mb = 0;
   } else if (args.Has("cache")) {
-    size_t mb = static_cast<size_t>(args.GetInt("cache", 16));
-    options.result_cache_mb = mb;
-    options.fragment_cache_mb = mb;
+    options.result_cache_mb = static_cast<size_t>(args.GetInt("cache", 16));
   }
   return Unwrap(Workbench::Open(args.Require("db"), options));
 }
@@ -1026,11 +1022,9 @@ int Help() {
       "                                 cache outcome, counters, spans)\n"
       "\n"
       "database options (every command with --db):\n"
-      "  --cache MB                     per-level budget for the query\n"
-      "                                 caches: L1 semantic result cache and\n"
-      "                                 L2 decoded-signature fragment cache\n"
+      "  --cache MB                     budget of the semantic result cache\n"
       "                                 (default 16)\n"
-      "  --no-cache                     disable both cache levels\n"
+      "  --no-cache                     disable the result cache\n"
       "  --fault-plan SPEC              inject storage faults, e.g.\n"
       "                                 \"seed=7,read_error=0.01\"\n"
       "\n"
