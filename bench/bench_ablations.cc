@@ -269,7 +269,7 @@ void BM_Planner(benchmark::State& state, const char* mode) {
   WorkbenchOptions options;
   options.result_cache_mb = 0;
   Workbench* wb = CachedWorkbench2(
-      "ablation_planner_" + std::to_string(c),
+      std::string("ablation_planner_").append(std::to_string(c)),
       [n, c] {
         SyntheticConfig config = PaperConfig(n);
         config.bool_cardinality = c;

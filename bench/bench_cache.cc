@@ -5,8 +5,8 @@
 //   cold — first pass, empty cache: every query decodes signatures and
 //          runs branch-and-bound; fills the L1 result cache.
 //   warm — second pass of the SAME batch: exact repeats served from the L1
-//          result cache (the drill-down/truncation paths fire for the
-//          contained variants the workload mixes in).
+//          result cache (truncation and top-k containment fire for the
+//          smaller-k and drilled variants the workload mixes in).
 //   hot  — N more passes, steady state: measures the cache-resident QPS.
 //
 // The run fails (exit 1) when the warm pass does not beat the cold pass by
@@ -43,15 +43,16 @@ using pcube::bench::EnvU64;
 namespace {
 
 /// Mixed workload with deliberate reuse structure: repeated skylines and
-/// top-k families (same predicates + ranking, varying k — truncation hits)
-/// plus drill-down variants (supersets of earlier predicates — containment
-/// hits). Built once; every phase runs the identical batch.
+/// top-k families (same predicates + ranking) plus drill-down variants
+/// (supersets of earlier predicates — top-k containment hits; a drilled
+/// skyline runs fresh once, then repeats). Built once; every phase runs
+/// the identical batch.
 std::vector<BatchQuery> BuildWorkload(size_t n, const SyntheticConfig& config) {
   Random rng(2024);
   // A pool of query *families* — (predicates, ranking, k) fixed per family
   // so the same query recurs, within a pass and across passes. Every
   // fourth occurrence drills into the family's superset predicates, which
-  // exercises the containment path. Families ~ n/3 distinct queries per
+  // exercises top-k containment. Families ~ n/3 distinct queries per
   // pass: the cold pass still executes every family once while repeats
   // within and across passes hit the cache.
   struct Family {
@@ -119,10 +120,6 @@ int main() {
   options.pool_pages = 64;
   options.pool_stripes = 16;
   options.read_latency_us = latency_us;
-  // Skyline entries carry their pruned-node lists for Lemma 2 drill-down
-  // (~0.5 MB each at this scale), so the L1 must be sized for the working
-  // set — the default 16 MB would churn and mask the steady state.
-  options.result_cache_mb = 64;
   std::printf(
       "building workbench: %llu rows, %zu queries/batch, %zu workers, "
       "%.0f us/read\n",

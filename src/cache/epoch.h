@@ -40,18 +40,10 @@ class DataEpoch {
   /// predicate-free queries (no cells to stamp) validate against this.
   uint64_t global() const { return global_.load(std::memory_order_acquire); }
 
-  /// Structural epoch: bumped whenever the R-tree shape may have changed
-  /// (any insert/delete — node paths and MBRs in cached engine state are
-  /// only reusable while this is unchanged).
-  uint64_t structure() const {
-    return structure_.load(std::memory_order_acquire);
-  }
-
   /// Records a mutation touching `cells`: all of them move to a fresh
-  /// dataset epoch, and the structural epoch advances.
+  /// dataset epoch.
   void BumpCells(const std::vector<CellId>& cells) {
     uint64_t e = global_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    structure_.fetch_add(1, std::memory_order_acq_rel);
     for (CellId cell : cells) {
       Shard& s = shards_[ShardOf(cell)];
       MutexLock lock(&s.mu);
@@ -64,7 +56,6 @@ class DataEpoch {
   /// load): every cell's epoch advances at once via the floor.
   void BumpAll() {
     uint64_t e = global_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    structure_.fetch_add(1, std::memory_order_acq_rel);
     uint64_t f = floor_.load(std::memory_order_relaxed);
     while (f < e &&
            !floor_.compare_exchange_weak(f, e, std::memory_order_acq_rel)) {
@@ -85,7 +76,6 @@ class DataEpoch {
   };
 
   std::atomic<uint64_t> global_{0};
-  std::atomic<uint64_t> structure_{0};
   std::atomic<uint64_t> floor_{0};
   Shard shards_[kShards];
 };

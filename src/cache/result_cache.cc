@@ -6,36 +6,16 @@ namespace pcube {
 
 namespace {
 
-// Paths are inline, so an entry list owns no memory beyond its array.
-size_t EntryListCharge(const std::vector<SearchEntry>& entries) {
-  return entries.capacity() * sizeof(SearchEntry);
-}
-
 size_t ResultCharge(const CachedResult& e) {
-  size_t c = 160 + e.family.capacity() + e.tids.capacity() * sizeof(TupleId) +
-             e.scores.capacity() * sizeof(double) +
-             e.cell_stamps.capacity() * sizeof(e.cell_stamps[0]);
-  if (e.skyline_state != nullptr) {
-    c += EntryListCharge(e.skyline_state->skyline) +
-         EntryListCharge(e.skyline_state->b_list) +
-         EntryListCharge(e.skyline_state->d_list);
-  }
-  if (e.topk_state != nullptr) {
-    c += EntryListCharge(e.topk_state->results) +
-         EntryListCharge(e.topk_state->b_list) +
-         EntryListCharge(e.topk_state->d_list) +
-         EntryListCharge(e.topk_state->remaining);
-  }
-  return c;
+  return 160 + e.family.capacity() + e.tids.capacity() * sizeof(TupleId) +
+         e.scores.capacity() * sizeof(double) +
+         e.cell_stamps.capacity() * sizeof(e.cell_stamps[0]);
 }
 
 }  // namespace
 
-ResultCache::ResultCache(size_t capacity_bytes, const DataEpoch* epoch,
-                         bool enable_containment)
-    : epoch_(epoch),
-      enable_containment_(enable_containment),
-      shards_(new Shard[kShards]) {
+ResultCache::ResultCache(size_t capacity_bytes, const DataEpoch* epoch)
+    : epoch_(epoch), shards_(new Shard[kShards]) {
   for (size_t i = 0; i < kShards; ++i) {
     shards_[i].slru.set_capacity(capacity_bytes / kShards);
   }
@@ -51,10 +31,8 @@ ResultCache::ResultCache(size_t capacity_bytes, const DataEpoch* epoch,
 ResultCache::Stamps ResultCache::SnapshotStamps(
     const PredicateSet& preds) const {
   Stamps s;
-  // Order matters for the empty-predicate case too: read global/structure
-  // first so that they are at most as new as the per-cell reads.
+  // Read global first so that it is at most as new as the per-cell reads.
   s.global = epoch_->global();
-  s.structure = epoch_->structure();
   s.cells.reserve(preds.size());
   for (const Predicate& p : preds.predicates()) {
     CellId cell = AtomicCellId(p.dim, p.value);
@@ -97,8 +75,7 @@ std::shared_ptr<const CachedResult> ResultCache::GetFresh(
 }
 
 ResultCache::Lookup ResultCache::Find(const QueryRequest& request,
-                                      const Dataset& data,
-                                      bool require_state) {
+                                      const Dataset& data) {
   Lookup out;
   if (!request.Canonicalizable()) return out;
 
@@ -106,54 +83,36 @@ ResultCache::Lookup ResultCache::Find(const QueryRequest& request,
   std::string family = request.CanonicalFamily(request.preds);
   if (auto entry = GetFresh(Fnv1a64(family), family)) {
     if (!topk) {
-      std::shared_ptr<const SkylineOutput> state;
-      if (entry->skyline_state != nullptr &&
-          entry->structure_stamp == epoch_->structure()) {
-        state = entry->skyline_state;
-      }
-      if (state != nullptr || !require_state) {
-        out.outcome = CacheOutcome::kHit;
-        out.tids = entry->tids;
-        out.plan = entry->plan;
-        out.skyline_state = std::move(state);
-        hits_->Increment();
-        return out;
-      }
-      // require_state without live state: a subset entry with state may
-      // still seed a drill-down below.
-    } else if (entry->k >= request.k || entry->Exhausted()) {
-      std::shared_ptr<const TopKOutput> state;
-      if (entry->topk_state != nullptr && entry->k == request.k &&
-          entry->structure_stamp == epoch_->structure()) {
-        state = entry->topk_state;
-      }
-      if (state != nullptr || !require_state) {
-        // Truncation reuse: a prefix of a larger-k run IS the smaller-k
-        // answer (same ranking, same candidates, same order).
-        size_t n = std::min(request.k, entry->tids.size());
-        out.outcome = CacheOutcome::kHit;
-        out.tids.assign(entry->tids.begin(), entry->tids.begin() + n);
-        out.scores.assign(entry->scores.begin(), entry->scores.begin() + n);
-        out.plan = entry->plan;
-        out.topk_state = std::move(state);
-        hits_->Increment();
-        return out;
-      }
+      out.outcome = CacheOutcome::kHit;
+      out.tids = entry->tids;
+      out.plan = entry->plan;
+      hits_->Increment();
+      return out;
     }
-    // Otherwise (top-k cut off below request.k, or state demanded but
-    // stale): fall through — a subset entry might still serve — and let
-    // the executed answer replace this entry.
+    if (entry->k >= request.k || entry->Exhausted()) {
+      // Truncation reuse: a prefix of a larger-k run IS the smaller-k
+      // answer (same ranking, same candidates, same order).
+      size_t n = std::min(request.k, entry->tids.size());
+      out.outcome = CacheOutcome::kHit;
+      out.tids.assign(entry->tids.begin(), entry->tids.begin() + n);
+      out.scores.assign(entry->scores.begin(), entry->scores.begin() + n);
+      out.plan = entry->plan;
+      hits_->Increment();
+      return out;
+    }
+    // Cut off below request.k: a subset entry might still serve, and the
+    // executed answer replaces this entry.
   }
 
-  // Top-k containment yields a bare filtered list, never engine state.
-  if (enable_containment_ && !(topk && require_state) &&
-      !request.preds.empty() &&
+  // Only a top-k list survives a filter pass; a skyline does not (a point
+  // whose dominators stop qualifying joins the narrower skyline).
+  if (topk && !request.preds.empty() &&
       request.preds.size() <= kMaxContainmentPreds) {
     const auto& ps = request.preds.predicates();
     const uint32_t n = static_cast<uint32_t>(ps.size());
     const uint32_t full = (uint32_t{1} << n) - 1;
-    // Proper subsets in decreasing size: the largest cached ancestor gives
-    // the cheapest filter/drill-down. Mask 0 (no predicates) is a valid
+    // Proper subsets in decreasing size: the largest cached ancestor has
+    // the fewest tuples to filter. Mask 0 (no predicates) is a valid
     // ancestor — an unconstrained cached run answers everything below it.
     std::vector<uint32_t> masks;
     masks.reserve(full);
@@ -170,43 +129,29 @@ ResultCache::Lookup ResultCache::Find(const QueryRequest& request,
       std::string fam = request.CanonicalFamily(sub);
       auto entry = GetFresh(Fnv1a64(fam), fam);
       if (entry == nullptr) continue;
-      if (topk) {
-        // Filter the ancestor's ranked list by the full predicate set.
-        // Sound when enough survivors remain (anything outside the list
-        // scores no better than its worst member) or the list already held
-        // every matching tuple.
-        std::vector<TupleId> tids;
-        std::vector<double> scores;
-        for (size_t i = 0; i < entry->tids.size(); ++i) {
-          if (request.preds.Matches(data, entry->tids[i])) {
-            tids.push_back(entry->tids[i]);
-            scores.push_back(entry->scores[i]);
-          }
+      // Filter the ancestor's ranked list by the full predicate set. Sound
+      // when enough survivors remain (anything outside the list scores no
+      // better than its worst member) or the list already held every
+      // matching tuple.
+      std::vector<TupleId> tids;
+      std::vector<double> scores;
+      for (size_t i = 0; i < entry->tids.size(); ++i) {
+        if (request.preds.Matches(data, entry->tids[i])) {
+          tids.push_back(entry->tids[i]);
+          scores.push_back(entry->scores[i]);
         }
-        if (tids.size() < request.k && !entry->Exhausted()) continue;
-        if (tids.size() > request.k) {
-          tids.resize(request.k);
-          scores.resize(request.k);
-        }
-        out.outcome = CacheOutcome::kContainment;
-        out.tids = std::move(tids);
-        out.scores = std::move(scores);
-        out.plan = entry->plan;
-        containment_->Increment();
-        return out;
       }
-      // Skyline: a filter pass is NOT sound (dominators that stop
-      // qualifying can promote new members); hand the ancestor's engine
-      // output to the caller for a Lemma 2 drill-down instead. Needs the
-      // tree shape unchanged — the state stores node paths and MBRs.
-      if (entry->skyline_state != nullptr &&
-          entry->structure_stamp == epoch_->structure()) {
-        out.outcome = CacheOutcome::kContainment;
-        out.drill_prev = entry->skyline_state;
-        out.plan = entry->plan;
-        containment_->Increment();
-        return out;
+      if (tids.size() < request.k && !entry->Exhausted()) continue;
+      if (tids.size() > request.k) {
+        tids.resize(request.k);
+        scores.resize(request.k);
       }
+      out.outcome = CacheOutcome::kContainment;
+      out.tids = std::move(tids);
+      out.scores = std::move(scores);
+      out.plan = entry->plan;
+      containment_->Increment();
+      return out;
     }
   }
 
@@ -215,10 +160,7 @@ ResultCache::Lookup ResultCache::Find(const QueryRequest& request,
 }
 
 void ResultCache::Insert(const QueryRequest& request,
-                         const QueryResponse& response,
-                         std::shared_ptr<const SkylineOutput> skyline_state,
-                         std::shared_ptr<const TopKOutput> topk_state,
-                         const Stamps& stamps) {
+                         const QueryResponse& response, const Stamps& stamps) {
   // Degraded answers must never populate the cache: a boolean-first result
   // computed around corrupt signature pages would outlive the corruption
   // and keep serving after a repair (or mask the damage entirely).
@@ -232,11 +174,8 @@ void ResultCache::Insert(const QueryRequest& request,
   entry->tids = response.tids;
   entry->scores = response.scores;
   entry->plan = response.estimate.choice;
-  entry->skyline_state = std::move(skyline_state);
-  entry->topk_state = std::move(topk_state);
   entry->cell_stamps = stamps.cells;
   entry->global_stamp = stamps.global;
-  entry->structure_stamp = stamps.structure;
   entry->charge = ResultCharge(*entry);
 
   uint64_t fp = Fnv1a64(entry->family);

@@ -1,26 +1,26 @@
 // L1 of the query cache: a semantic result cache over the unified
-// QueryRequest. Entries are keyed by the request's *family* fingerprint
-// (request.h: canonical form with top-k's k stripped), so one entry serves
+// QueryRequest. An entry holds only the answer (tids, scores, the plan
+// that produced it and the epoch stamps it was computed under). Entries
+// are keyed by the request's *family* fingerprint (request.h: canonical
+// form with top-k's k stripped), so one entry serves
 //   * exact repeats — same canonical query;
 //   * truncation   — a cached top-k with entry.k >= k' (or one that
 //     exhausted all matching tuples) answers k' by taking a prefix;
-//   * containment  — with enable_containment, a query for predicates
-//     P' ⊇ P can reuse the entry cached for P: a top-k list is filtered by
-//     the extra predicates (sound when enough survivors remain or the list
-//     was exhaustive), and a skyline entry's full engine output seeds a
-//     Lemma 2 drill-down (incremental.h) instead of a root restart. Note a
-//     skyline canNOT be answered by filtering alone — a point outside the
-//     subset relation's skyline may enter the superset-predicate skyline
-//     when its dominators stop qualifying.
+//   * containment  — a top-k query for predicates P' ⊇ P is answered by
+//     filtering the list cached for P by the extra predicates (sound when
+//     enough survivors remain or the list was exhaustive).
+// A skyline is only ever served by an exact repeat: a point outside the
+// subset relation's skyline may enter the superset-predicate skyline when
+// its dominators stop qualifying, so filtering is unsound, and re-searching
+// from a cached skyline (Lemma 2) lost to a fresh run (DESIGN.md §10).
 //
 // Freshness is epoch-based (epoch.h): entries carry the epoch of each
 // predicate's atomic cell (the global epoch when predicate-free) read
 // BEFORE execution, and are compared at lookup; mismatches evict lazily.
-// Cached *engine state* (SkylineOutput/TopKOutput with node paths and
-// MBRs) additionally requires the structural epoch to be unchanged — any
-// tree mutation may relocate nodes, invalidating paths even where answers
-// survive. Degraded responses are never inserted: a boolean-first answer
-// computed around corrupt signature pages would outlive the corruption.
+// An answer depends only on the tuples its predicates select, so R-tree
+// changes outside those cells leave it valid. Degraded responses are never
+// inserted: a boolean-first answer computed around corrupt signature pages
+// would outlive the corruption.
 #pragma once
 
 #include <cstdint>
@@ -49,16 +49,9 @@ struct CachedResult {
   std::vector<double> scores;   ///< top-k only, aligned with tids
   PlanChoice plan = PlanChoice::kSignature;
 
-  /// Full engine output, when the entry was produced by the signature
-  /// engine: lets a BatchExecutor hit reconstruct its per-query outputs
-  /// and seeds containment drill-downs. Null for boolean-first entries.
-  std::shared_ptr<const SkylineOutput> skyline_state;
-  std::shared_ptr<const TopKOutput> topk_state;
-
   /// Epoch stamps read before the producing execution.
   std::vector<std::pair<CellId, uint64_t>> cell_stamps;
-  uint64_t global_stamp = 0;     ///< used when preds is empty
-  uint64_t structure_stamp = 0;  ///< guards skyline_state/topk_state
+  uint64_t global_stamp = 0;  ///< used when preds is empty
 
   size_t charge = 0;
 
@@ -70,55 +63,36 @@ struct CachedResult {
 /// Thread-safe sharded SLRU result cache.
 class ResultCache {
  public:
-  ResultCache(size_t capacity_bytes, const DataEpoch* epoch,
-              bool enable_containment);
+  ResultCache(size_t capacity_bytes, const DataEpoch* epoch);
 
   /// Epoch stamps for a request's footprint — its predicates' atomic cells
-  /// plus the global/structural epochs. MUST be read before the execution
-  /// whose result will be inserted, so concurrent updates can only make
-  /// the entry look stale, never wrongly fresh.
+  /// plus the global epoch. MUST be read before the execution whose result
+  /// will be inserted, so concurrent updates can only make the entry look
+  /// stale, never wrongly fresh.
   struct Stamps {
     std::vector<std::pair<CellId, uint64_t>> cells;
     uint64_t global = 0;
-    uint64_t structure = 0;
   };
   Stamps SnapshotStamps(const PredicateSet& preds) const;
 
-  /// Outcome of a lookup. Exactly one of these shapes:
-  ///   * kMiss — nothing usable.
-  ///   * kHit — `tids`/`scores` are the final answer; `skyline_state` /
-  ///     `topk_state` are attached when additionally reusable (structure
-  ///     unchanged; top-k state only when entry.k matched exactly).
-  ///   * kContainment, top-k — `tids`/`scores` are the final answer
-  ///     (filtered + truncated).
-  ///   * kContainment, skyline — `drill_prev` holds the ancestor's engine
-  ///     output; the caller must run the drill-down (cached_execution.h)
-  ///     and treat a failure as a miss.
+  /// Outcome of a lookup: kMiss (nothing usable), or kHit / kContainment
+  /// (top-k only) with `tids`/`scores` holding the final answer and `plan`
+  /// the plan that produced the entry it came from.
   struct Lookup {
     CacheOutcome outcome = CacheOutcome::kMiss;
     std::vector<TupleId> tids;
     std::vector<double> scores;
     PlanChoice plan = PlanChoice::kSignature;
-    std::shared_ptr<const SkylineOutput> skyline_state;
-    std::shared_ptr<const TopKOutput> topk_state;
-    std::shared_ptr<const SkylineOutput> drill_prev;
   };
 
-  /// Probes the exact family, then (enable_containment) predicate subsets
-  /// in decreasing size. `data` backs the containment filter pass.
-  /// `require_state` restricts service to answers that can reconstruct the
-  /// full engine output (BatchExecutor results carry SkylineOutput/
-  /// TopKOutput): hits without live state fall through, and top-k
-  /// containment — which produces a bare filtered list — is skipped.
-  Lookup Find(const QueryRequest& request, const Dataset& data,
-              bool require_state = false);
+  /// Probes the exact family, then — top-k only — predicate subsets in
+  /// decreasing size. `data` backs the containment filter pass.
+  Lookup Find(const QueryRequest& request, const Dataset& data);
 
-  /// Publishes an executed answer. No-op for degraded responses,
-  /// non-canonicalizable requests, or responses without tids semantics.
-  /// `stamps` must be the SnapshotStamps taken before the execution.
+  /// Publishes an executed answer. No-op for degraded responses and
+  /// non-canonicalizable requests. `stamps` must be the SnapshotStamps
+  /// taken before the execution.
   void Insert(const QueryRequest& request, const QueryResponse& response,
-              std::shared_ptr<const SkylineOutput> skyline_state,
-              std::shared_ptr<const TopKOutput> topk_state,
               const Stamps& stamps);
 
   size_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
@@ -126,7 +100,6 @@ class ResultCache {
     return entries_.load(std::memory_order_relaxed);
   }
   const DataEpoch* epoch() const { return epoch_; }
-  bool containment_enabled() const { return enable_containment_; }
 
  private:
   static constexpr size_t kShards = 8;
@@ -150,7 +123,6 @@ class ResultCache {
   bool AnswerFresh(const CachedResult& entry) const;
 
   const DataEpoch* epoch_;
-  bool enable_containment_;
   std::unique_ptr<Shard[]> shards_;
   std::atomic<size_t> bytes_{0};
   std::atomic<size_t> entries_{0};

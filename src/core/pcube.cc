@@ -200,8 +200,8 @@ Status PCube::ApplyChanges(const Dataset& data, const PathChangeSet& changes) {
     // Bump AFTER the writes (even failed ones — partially applied batches
     // must invalidate too): a concurrent fill that read its stamp before
     // this point can only look stale at lookup, never wrongly fresh. Even
-    // an empty ops map bumps the global/structural epochs — the underlying
-    // tree mutation may have reshaped nodes without moving any tuple.
+    // an empty ops map bumps the global epoch — the underlying mutation
+    // still changed the relation that predicate-free answers range over.
     std::vector<CellId> bumped;
     bumped.reserve(ops.size());
     for (const auto& [cell, o] : ops) bumped.push_back(cell);

@@ -86,9 +86,13 @@ class PredicateSet {
     std::string s = "{";
     for (size_t i = 0; i < preds_.size(); ++i) {
       if (i > 0) s += ", ";
-      s += "A" + std::to_string(preds_[i].dim) + "=" + std::to_string(preds_[i].value);
+      s += 'A';
+      s += std::to_string(preds_[i].dim);
+      s += '=';
+      s += std::to_string(preds_[i].value);
     }
-    return s + "}";
+    s += '}';
+    return s;
   }
 
  private:

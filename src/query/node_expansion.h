@@ -7,7 +7,8 @@
 // survivors in one FilterChildren call and files each child, in slot order,
 // into d_list (preference-pruned), b_list (boolean-pruned) or the candidate
 // heap: the lists and the heap's push order are those of the paper's
-// per-child prune().
+// per-child prune(). A run that does not keep its Lemma 2 seeds only counts
+// the pruned children.
 #pragma once
 
 #include <algorithm>
@@ -37,12 +38,13 @@ using CandidateHeap =
 /// marks the slots that survived preference pruning. `Output` is
 /// SkylineOutput or TopKOutput. The probe call is timed once into
 /// counters.sig_seconds and the trace's `signature_probe` stage, and is
-/// skipped when no child survived preference pruning.
+/// skipped when no child survived preference pruning. With `keep_seeds`
+/// false the pruned children are counted but not copied into the lists.
 template <typename Output>
 Status FileChildren(BooleanProbe* probe, Trace* trace, const Path& parent,
                     const NodeView& node, const ChildMask& survivors,
                     const std::vector<SearchEntry>& children,
-                    CandidateHeap* heap, Output* out) {
+                    CandidateHeap* heap, Output* out, bool keep_seeds) {
   ChildMask pass = survivors;
   if (!pass.None()) {
     Timer t;
@@ -55,10 +57,10 @@ Status FileChildren(BooleanProbe* probe, Trace* trace, const Path& parent,
   for (const SearchEntry& child : children) {
     const uint32_t s = child.path.back() - 1u;
     if (!survivors.Get(s)) {
-      out->d_list.push_back(child);
+      if (keep_seeds) out->d_list.push_back(child);
       ++out->counters.pruned_preference;
     } else if (!pass.Get(s)) {
-      out->b_list.push_back(child);
+      if (keep_seeds) out->b_list.push_back(child);
       ++out->counters.pruned_boolean;
     } else {
       heap->push(child);

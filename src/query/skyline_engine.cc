@@ -58,7 +58,7 @@ bool SkylineEngine::Dominated(const RectF& rect) const {
 
 bool SkylineEngine::PruneByPreference(const SearchEntry& e) {
   if (!Dominated(e.rect)) return false;
-  out_.d_list.push_back(e);
+  if (keep_seeds_) out_.d_list.push_back(e);
   ++out_.counters.pruned_preference;
   return true;
 }
@@ -77,7 +77,7 @@ Result<bool> SkylineEngine::Prune(const SearchEntry& e) {
     if (trace_ != nullptr) trace_->Record("signature_probe", dt);
     if (!pass.ok()) return pass.status();
     if (!*pass) {
-      out_.b_list.push_back(e);
+      if (keep_seeds_) out_.b_list.push_back(e);
       ++out_.counters.pruned_boolean;
       return true;
     }
@@ -129,7 +129,7 @@ Result<SkylineOutput> SkylineEngine::RunFrom(
         ++out_.counters.verified;
         if (!*ok) {
           ++out_.counters.verify_failed;
-          out_.b_list.push_back(e);
+          if (keep_seeds_) out_.b_list.push_back(e);
           ++out_.counters.pruned_boolean;
           continue;
         }
@@ -162,7 +162,7 @@ Result<SkylineOutput> SkylineEngine::RunFrom(
       if (!Dominated(child.rect)) survivors.Set(s);
     }
     PCUBE_RETURN_NOT_OK(FileChildren(probe_, trace_, e.path, node, survivors,
-                                     children_, &heap, &out_));
+                                     children_, &heap, &out_, keep_seeds_));
   }
   return std::move(out_);
 }

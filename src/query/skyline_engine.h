@@ -52,6 +52,11 @@ class SkylineEngine {
     deadline_ = deadline;
   }
 
+  /// Whether the output keeps b_list and d_list (on by default). Callers
+  /// that read only the answer turn it off: the run then counts pruned
+  /// entries without copying them, and its result is unchanged.
+  void set_keep_seeds(bool keep) { keep_seeds_ = keep; }
+
  private:
   double EntryKey(const RectF& rect) const;
   /// Optimistic transformed coordinate of `rect` on dimension d: the least
@@ -77,6 +82,7 @@ class SkylineEngine {
   const TupleVerifier* verifier_;
   Trace* trace_ = nullptr;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
+  bool keep_seeds_ = true;
   SkylineQueryOptions options_;
   std::vector<int> dims_;
   SkylineOutput out_;

@@ -21,7 +21,7 @@ bool TopKEngine::ScorePruned(double key) const {
 
 bool TopKEngine::PruneByPreference(const SearchEntry& e) {
   if (!ScorePruned(e.key)) return false;
-  out_.d_list.push_back(e);
+  if (keep_seeds_) out_.d_list.push_back(e);
   ++out_.counters.pruned_preference;
   return true;
 }
@@ -37,7 +37,7 @@ Result<bool> TopKEngine::Prune(const SearchEntry& e) {
     if (trace_ != nullptr) trace_->Record("signature_probe", dt);
     if (!pass.ok()) return pass.status();
     if (!*pass) {
-      out_.b_list.push_back(e);
+      if (keep_seeds_) out_.b_list.push_back(e);
       ++out_.counters.pruned_boolean;
       return true;
     }
@@ -96,7 +96,7 @@ Result<TopKOutput> TopKEngine::RunFrom(const std::vector<SearchEntry>& seed) {
         ++out_.counters.verified;
         if (!*ok) {
           ++out_.counters.verify_failed;
-          out_.b_list.push_back(e);
+          if (keep_seeds_) out_.b_list.push_back(e);
           ++out_.counters.pruned_boolean;
           continue;
         }
@@ -125,11 +125,11 @@ Result<TopKOutput> TopKEngine::RunFrom(const std::vector<SearchEntry>& seed) {
       if (!ScorePruned(child.key)) survivors.Set(s);
     }
     PCUBE_RETURN_NOT_OK(FileChildren(probe_, trace_, e.path, node, survivors,
-                                     children_, &heap, &out_));
+                                     children_, &heap, &out_, keep_seeds_));
   }
 
   // Preserve the unexamined frontier for incremental queries (Lemma 2).
-  while (!heap.empty()) {
+  while (keep_seeds_ && !heap.empty()) {
     out_.remaining.push_back(heap.top());
     heap.pop();
   }

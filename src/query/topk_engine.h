@@ -44,6 +44,11 @@ class TopKEngine {
     deadline_ = deadline;
   }
 
+  /// Whether the output keeps b_list, d_list and remaining (on by default).
+  /// Callers that read only the answer turn it off: the run then counts
+  /// pruned entries without copying them, and its result is unchanged.
+  void set_keep_seeds(bool keep) { keep_seeds_ = keep; }
+
  private:
   /// True when k results scoring at most `key` are already found.
   bool ScorePruned(double key) const;
@@ -59,6 +64,7 @@ class TopKEngine {
   const TupleVerifier* verifier_;
   Trace* trace_ = nullptr;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
+  bool keep_seeds_ = true;
   const RankingFunction* f_;
   size_t k_;
   TopKOutput out_;

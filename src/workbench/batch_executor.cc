@@ -4,7 +4,6 @@
 #include <chrono>
 #include <optional>
 
-#include "cache/cached_execution.h"
 #include "common/metrics.h"
 #include "common/timer.h"
 
@@ -54,10 +53,8 @@ BatchQueryResult BatchExecutor::ExecuteOne(const BatchQuery& query) const {
                std::chrono::milliseconds(query.deadline_ms);
   }
   // L1 result cache. Batches ignore plan hints (they always run the
-  // signature plan), so only canonicalizability gates cache use. A hit is
-  // served only when the entry can reconstruct the full engine output —
-  // BatchQueryResult promises skyline/topk on success — which Find's
-  // require_state mode enforces.
+  // signature plan), so only canonicalizability gates cache use; a lookup
+  // is served exactly as QueryPlanner::Run serves it.
   const bool use_cache =
       cache_ != nullptr && data_ != nullptr && query.Canonicalizable();
   if (cache_ != nullptr && !use_cache) {
@@ -70,55 +67,18 @@ BatchQueryResult BatchExecutor::ExecuteOne(const BatchQuery& query) const {
     ResultCache::Lookup found;
     {
       ScopedSpan span(&result.response.trace, "cache_lookup");
-      found = cache_->Find(query, *data_, /*require_state=*/true);
+      found = cache_->Find(query, *data_);
     }
     result.response.cache = found.outcome;
-    if (found.outcome == CacheOutcome::kHit) {
+    if (found.outcome != CacheOutcome::kMiss) {
+      // kHit and top-k kContainment both carry the final answer.
       result.response.tids = std::move(found.tids);
       result.response.scores = std::move(found.scores);
       result.response.estimate.choice = found.plan;
-      if (query.kind == BatchQuery::Kind::kSkyline) {
-        result.response.counters = found.skyline_state->counters;
-        result.skyline = std::move(found.skyline_state);
-      } else {
-        result.response.counters = found.topk_state->counters;
-        result.topk = std::move(found.topk_state);
-      }
       result.seconds = timer.ElapsedSeconds();
       result.response.seconds = result.seconds;
       result.response.io = result.io;
       return result;
-    }
-    if (found.outcome == CacheOutcome::kContainment) {
-      // Skyline only (require_state skips top-k containment): Lemma 2
-      // drill-down from the cached ancestor. Stamps are read before the
-      // execution they will guard.
-      ResultCache::Stamps stamps = cache_->SnapshotStamps(query.preds);
-      auto run = RunSkylineDrillDown(tree_, cube_, query, *found.drill_prev,
-                                     &result.response.trace, deadline);
-      if (run.ok()) {
-        result.response.counters = run->counters;
-        for (const SearchEntry& e : run->skyline) {
-          result.response.tids.push_back(e.id);
-        }
-        std::sort(result.response.tids.begin(), result.response.tids.end());
-        result.skyline = std::make_shared<const SkylineOutput>(std::move(*run));
-        result.seconds = timer.ElapsedSeconds();
-        result.response.seconds = result.seconds;
-        result.response.io = result.io;
-        cache_->Insert(query, result.response, result.skyline, nullptr,
-                       stamps);
-        return result;
-      }
-      if (run.status().IsTimeout()) {
-        result.status = run.status();
-        result.seconds = timer.ElapsedSeconds();
-        result.response.seconds = result.seconds;
-        result.response.io = result.io;
-        return result;
-      }
-      // Any other drill-down failure: fall through to a fresh execution.
-      result.response.cache = CacheOutcome::kMiss;
     }
   }
   ResultCache::Stamps stamps;
@@ -133,6 +93,7 @@ BatchQueryResult BatchExecutor::ExecuteOne(const BatchQuery& query) const {
     case BatchQuery::Kind::kSkyline: {
       SkylineEngine engine(tree_, probe->get(), nullptr, query.skyline);
       engine.set_trace(&result.response.trace);
+      engine.set_keep_seeds(false);
       if (deadline) engine.set_deadline(*deadline);
       auto out = engine.Run();
       if (out.ok()) {
@@ -141,7 +102,6 @@ BatchQueryResult BatchExecutor::ExecuteOne(const BatchQuery& query) const {
           result.response.tids.push_back(e.id);
         }
         std::sort(result.response.tids.begin(), result.response.tids.end());
-        result.skyline = std::make_shared<const SkylineOutput>(std::move(*out));
       } else {
         result.status = out.status();
       }
@@ -155,6 +115,7 @@ BatchQueryResult BatchExecutor::ExecuteOne(const BatchQuery& query) const {
       TopKEngine engine(tree_, probe->get(), nullptr, query.ranking.get(),
                         query.k);
       engine.set_trace(&result.response.trace);
+      engine.set_keep_seeds(false);
       if (deadline) engine.set_deadline(*deadline);
       auto out = engine.Run();
       if (out.ok()) {
@@ -163,7 +124,6 @@ BatchQueryResult BatchExecutor::ExecuteOne(const BatchQuery& query) const {
           result.response.tids.push_back(e.id);
           result.response.scores.push_back(e.key);
         }
-        result.topk = std::make_shared<const TopKOutput>(std::move(*out));
       } else {
         result.status = out.status();
       }
@@ -174,8 +134,7 @@ BatchQueryResult BatchExecutor::ExecuteOne(const BatchQuery& query) const {
   result.response.seconds = result.seconds;
   result.response.io = result.io;
   if (use_cache && result.status.ok()) {
-    cache_->Insert(query, result.response, result.skyline, result.topk,
-                   stamps);
+    cache_->Insert(query, result.response, stamps);
   }
   return result;
 }

@@ -30,19 +30,13 @@ namespace pcube {
 /// run the signature engines, so the plan hint is ignored here.
 using BatchQuery = QueryRequest;
 
-/// Outcome of one query of a batch (exactly one of skyline/topk is set on
-/// success, matching the query's kind).
+/// Outcome of one query of a batch.
 struct BatchQueryResult {
   Status status;
-  /// The unified summary: result tids/scores, engine counters, physical
-  /// I/O, per-stage trace and wall time.
+  /// The answer and its summary: result tids (ascending for skylines, rank
+  /// order for top-k) and scores, engine counters, physical I/O, per-stage
+  /// trace, wall time and how the L1 result cache took part.
   QueryResponse response;
-  /// Full engine outputs (b_list/d_list, remaining frontier) for callers
-  /// that seed incremental queries from batch results. Immutable and
-  /// shared with the L1 result cache: a miss publishes this very object
-  /// and a hit hands out the cached one, so neither copies the lists.
-  std::shared_ptr<const SkylineOutput> skyline;
-  std::shared_ptr<const TopKOutput> topk;
   /// Physical page I/O performed by this query (per-thread attribution; a
   /// page one query faults in and another then hits is charged to the
   /// faulting query, exactly like the sequential accounting). Mirrors
@@ -82,11 +76,10 @@ class BatchExecutor {
  public:
   /// `query_log`, when non-null, receives one JSONL record per finished
   /// query (thread-safe; must outlive the executor). `cache` + `data`,
-  /// when non-null, enable the L1 result cache for the batch: a query is
-  /// served from cache only when the entry can reconstruct the full engine
-  /// output (BatchQueryResult promises skyline/topk on success), and every
-  /// executed query publishes its answer back. Both must outlive the
-  /// executor.
+  /// when non-null, enable the L1 result cache for the batch: exact
+  /// repeats, top-k truncation and top-k containment are answered from it
+  /// (the same lookup QueryPlanner::Run makes), and every executed query
+  /// publishes its answer back. Both must outlive the executor.
   BatchExecutor(const RStarTree* tree, const PCube* cube, ThreadPool* pool,
                 QueryLog* query_log = nullptr, ResultCache* cache = nullptr,
                 const Dataset* data = nullptr)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cache/cached_execution.h"
 #include "common/metrics.h"
 
 namespace pcube {
@@ -60,25 +59,23 @@ Result<PlanEstimate> QueryPlanner::Estimate(const PredicateSet& preds) const {
 Status QueryPlanner::ExecuteSignature(
     const QueryRequest& request,
     const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    QueryResponse* resp, std::shared_ptr<const SkylineOutput>* skyline_state,
-    std::shared_ptr<const TopKOutput>* topk_state) {
+    QueryResponse* resp) {
   auto probe = wb_->cube()->MakeProbe(request.preds);
   if (!probe.ok()) return probe.status();
   if (request.kind == QueryRequest::Kind::kSkyline) {
     SkylineEngine engine(wb_->tree(), probe->get(), nullptr, request.skyline);
     engine.set_trace(&resp->trace);
+    engine.set_keep_seeds(false);
     if (deadline) engine.set_deadline(*deadline);
     auto run = engine.Run();
     if (!run.ok()) return run.status();
     resp->counters = run->counters;
     for (const SearchEntry& e : run->skyline) resp->tids.push_back(e.id);
-    if (skyline_state != nullptr) {
-      *skyline_state = std::make_shared<const SkylineOutput>(std::move(*run));
-    }
   } else {
     TopKEngine engine(wb_->tree(), probe->get(), nullptr,
                       request.ranking.get(), request.k);
     engine.set_trace(&resp->trace);
+    engine.set_keep_seeds(false);
     if (deadline) engine.set_deadline(*deadline);
     auto run = engine.Run();
     if (!run.ok()) return run.status();
@@ -86,9 +83,6 @@ Status QueryPlanner::ExecuteSignature(
     for (const SearchEntry& e : run->results) {
       resp->tids.push_back(e.id);
       resp->scores.push_back(e.key);
-    }
-    if (topk_state != nullptr) {
-      *topk_state = std::make_shared<const TopKOutput>(std::move(*run));
     }
   }
   return Status::OK();
@@ -152,51 +146,8 @@ Result<QueryResponse> QueryPlanner::Run(const QueryRequest& request) {
       found = cache->Find(request, wb_->data());
     }
     resp.cache = found.outcome;
-    if (found.outcome == CacheOutcome::kHit) {
-      Timer timer;
-      resp.tids = std::move(found.tids);
-      resp.scores = std::move(found.scores);
-      resp.estimate.choice = found.plan;
-      resp.seconds = timer.ElapsedSeconds();
-      registry.GetHistogram("pcube_query_seconds")->Observe(resp.seconds);
-      return resp;
-    }
-    if (found.outcome == CacheOutcome::kContainment &&
-        request.kind == QueryRequest::Kind::kSkyline) {
-      // Lemma 2 drill-down seeded from the cached ancestor instead of a
-      // root restart. Stamps are read before the execution it feeds.
-      ResultCache::Stamps stamps = cache->SnapshotStamps(request.preds);
-      PCUBE_RETURN_NOT_OK(wb_->ColdStart());
-      Timer timer;
-      Trace::ScopedBind bind(&resp.trace);
-      auto run = RunSkylineDrillDown(wb_->tree(), wb_->cube(), request,
-                                     *found.drill_prev, &resp.trace, deadline);
-      if (run.ok()) {
-        resp.counters = run->counters;
-        for (const SearchEntry& e : run->skyline) resp.tids.push_back(e.id);
-        std::sort(resp.tids.begin(), resp.tids.end());
-        resp.estimate.choice = PlanChoice::kSignature;
-        resp.seconds = timer.ElapsedSeconds();
-        resp.io = wb_->IoSince();
-        cache->Insert(
-            request, resp,
-            std::make_shared<const SkylineOutput>(std::move(*run)), nullptr,
-            stamps);
-        registry.GetHistogram("pcube_query_seconds")->Observe(resp.seconds);
-        return resp;
-      }
-      if (run.status().IsTimeout()) {
-        registry.GetCounter("pcube_query_timeouts_total")->Increment();
-        return run.status();
-      }
-      // Any other drill-down failure: fall back to a fresh execution.
-      resp.cache = CacheOutcome::kMiss;
-      resp.tids.clear();
-      resp.counters = EngineCounters();
-    }
-    if (found.outcome == CacheOutcome::kContainment &&
-        request.kind == QueryRequest::Kind::kTopK) {
-      // Filter pass already produced the final answer inside Find.
+    if (found.outcome != CacheOutcome::kMiss) {
+      // kHit and top-k kContainment both carry the final answer.
       Timer timer;
       resp.tids = std::move(found.tids);
       resp.scores = std::move(found.scores);
@@ -232,12 +183,8 @@ Result<QueryResponse> QueryPlanner::Run(const QueryRequest& request) {
   // Bind the trace to this thread so the BufferPool attributes `io_wait`.
   Trace::ScopedBind bind(&resp.trace);
 
-  std::shared_ptr<const SkylineOutput> skyline_state;
-  std::shared_ptr<const TopKOutput> topk_state;
   if (resp.estimate.choice == PlanChoice::kSignature) {
-    Status st = ExecuteSignature(request, deadline, &resp,
-                                 use_cache ? &skyline_state : nullptr,
-                                 use_cache ? &topk_state : nullptr);
+    Status st = ExecuteSignature(request, deadline, &resp);
     if (!st.ok()) {
       // Signatures and the R-tree are derived, redundant state: when their
       // pages are corrupt or unreadable, the base relation can still answer
@@ -271,10 +218,7 @@ Result<QueryResponse> QueryPlanner::Run(const QueryRequest& request) {
   // Publish the executed answer. Insert() itself refuses degraded
   // responses — a boolean-first answer computed around corrupt pages must
   // not outlive the corruption.
-  if (use_cache) {
-    cache->Insert(request, resp, std::move(skyline_state),
-                  std::move(topk_state), stamps);
-  }
+  if (use_cache) cache->Insert(request, resp, stamps);
 
   registry
       .GetCounter(resp.estimate.choice == PlanChoice::kSignature

@@ -38,15 +38,11 @@ class QueryPlanner {
   Result<QueryResponse> Run(const QueryRequest& request);
 
  private:
-  /// Runs the branch-and-bound signature plan into `resp`. On success the
-  /// engine's full output is exported through `skyline_state`/`topk_state`
-  /// (when non-null) for the result cache.
+  /// Runs the branch-and-bound signature plan into `resp`.
   Status ExecuteSignature(const QueryRequest& request,
                           const std::optional<std::chrono::steady_clock::
                                                   time_point>& deadline,
-                          QueryResponse* resp,
-                          std::shared_ptr<const SkylineOutput>* skyline_state,
-                          std::shared_ptr<const TopKOutput>* topk_state);
+                          QueryResponse* resp);
   /// Runs the boolean-first baseline plan into `resp`.
   Status ExecuteBoolean(const QueryRequest& request, QueryResponse* resp);
   /// True when the boolean plan can answer this request (it implements

@@ -363,7 +363,7 @@ Status Workbench::Save() {
 void Workbench::SetUpCaches(const WorkbenchOptions& options) {
   if (options.result_cache_mb > 0) {
     result_cache_ = std::make_unique<ResultCache>(
-        options.result_cache_mb << 20, &epoch_, options.enable_containment);
+        options.result_cache_mb << 20, &epoch_);
   }
   if (cube_ != nullptr) cube_->AttachEpoch(&epoch_);
   if (cube_ != nullptr && tree_ != nullptr) {

@@ -80,12 +80,8 @@ struct WorkbenchOptions {
   /// store). Disarmed during Open's replay, armed before returning.
   FaultPlan wal_fault_plan;
   /// L1 semantic result cache budget in MiB (cache/result_cache.h); 0
-  /// disables it. Served through QueryPlanner::Run and RunBatch.
+  /// disables it. Served through Run, RunShared and RunBatch.
   size_t result_cache_mb = 16;
-  /// Allow L1 containment reuse: answer predicates P' ⊇ P from the entry
-  /// cached for P (top-k filter pass / skyline Lemma 2 drill-down).
-  /// Exact-repeat and truncation hits work regardless.
-  bool enable_containment = true;
 };
 
 /// One fully built experimental instance and the front door for preference

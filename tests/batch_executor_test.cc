@@ -104,20 +104,13 @@ TEST(BatchExecutorTest, BatchMatchesSequentialExecution) {
     const BatchQueryResult& r = batch.results[i];
     ASSERT_TRUE(r.status.ok()) << "query " << i << ": " << r.status.ToString();
     if (queries[i].kind == BatchQuery::Kind::kSkyline) {
-      ASSERT_NE(r.skyline, nullptr);
-      EXPECT_EQ(r.topk, nullptr);
-      EXPECT_EQ(SortedIds(r.skyline->skyline), expected_ids[i])
+      EXPECT_EQ(r.response.tids, expected_ids[i])
           << "skyline mismatch at query " << i;
+      EXPECT_TRUE(r.response.scores.empty());
     } else {
-      ASSERT_NE(r.topk, nullptr);
-      std::vector<TupleId> ids;
-      std::vector<double> scores;
-      for (const SearchEntry& e : r.topk->results) {
-        ids.push_back(e.id);
-        scores.push_back(e.key);
-      }
-      EXPECT_EQ(ids, expected_ids[i]) << "top-k mismatch at query " << i;
-      EXPECT_EQ(scores, expected_scores[i]);
+      EXPECT_EQ(r.response.tids, expected_ids[i])
+          << "top-k mismatch at query " << i;
+      EXPECT_EQ(r.response.scores, expected_scores[i]);
     }
   }
 }
@@ -131,13 +124,8 @@ TEST(BatchExecutorTest, RepeatedBatchesAreDeterministic) {
   for (size_t i = 0; i < a.results.size(); ++i) {
     ASSERT_TRUE(a.results[i].status.ok());
     ASSERT_TRUE(b.results[i].status.ok());
-    if (a.results[i].skyline != nullptr) {
-      EXPECT_EQ(SortedIds(a.results[i].skyline->skyline),
-                SortedIds(b.results[i].skyline->skyline));
-    } else {
-      EXPECT_EQ(SortedIds(a.results[i].topk->results),
-                SortedIds(b.results[i].topk->results));
-    }
+    EXPECT_EQ(a.results[i].response.tids, b.results[i].response.tids);
+    EXPECT_EQ(a.results[i].response.scores, b.results[i].response.scores);
   }
 }
 
@@ -158,8 +146,8 @@ TEST(BatchExecutorTest, PerQueryIoSumsToMergedCounters) {
 
 TEST(BatchExecutorTest, ResponsesCarryTracesAndLatencySummary) {
   // Caches off: the heap_expand assertion below requires every query to
-  // run its engine, and the cache (exact hits, containment drill-down)
-  // can legitimately skip that for repeats and predicate supersets.
+  // run its engine, and the cache (exact hits, top-k truncation and
+  // containment) can legitimately skip that for repeats and supersets.
   auto wb = BuildBench(3000, NoCache());
   std::vector<BatchQuery> queries = MixedWorkload();
   BatchOutput batch = wb->RunBatch(queries, 4);
@@ -215,44 +203,6 @@ TEST(BatchExecutorTest, QueryLogGetsOneRecordPerQuery) {
   EXPECT_EQ(lines, queries.size());
 }
 
-TEST(BatchExecutorTest, CacheHitSharesTheCachedEngineState) {
-  auto wb = BuildBench(2000);
-  ResultCache* cache = wb->result_cache();
-  ASSERT_NE(cache, nullptr);
-  BatchExecutor exec(wb->tree(), wb->cube(), /*pool=*/nullptr,
-                     /*query_log=*/nullptr, cache, &wb->data());
-  auto linear = std::make_shared<LinearRanking>(std::vector<double>{1.0, 2.0});
-  const std::vector<BatchQuery> queries = {
-      BatchQuery::Skyline(PredicateSet{{0, 2}}),
-      BatchQuery::TopK(PredicateSet{{1, 3}}, linear, 5)};
-  for (const BatchQuery& q : queries) {
-    const bool skyline = q.kind == BatchQuery::Kind::kSkyline;
-    BatchQueryResult miss = exec.ExecuteOne(q);
-    ASSERT_TRUE(miss.status.ok()) << miss.status.ToString();
-    EXPECT_EQ(miss.response.cache, CacheOutcome::kMiss);
-    BatchQueryResult hit = exec.ExecuteOne(q);
-    ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
-    EXPECT_EQ(hit.response.cache, CacheOutcome::kHit);
-    EXPECT_EQ(hit.response.tids, miss.response.tids);
-
-    ResultCache::Lookup cached = cache->Find(q, wb->data(),
-                                             /*require_state=*/true);
-    ASSERT_EQ(cached.outcome, CacheOutcome::kHit);
-    if (skyline) {
-      ASSERT_NE(cached.skyline_state, nullptr);
-      // The miss published its own output and the hit shares that object.
-      EXPECT_EQ(miss.skyline.get(), cached.skyline_state.get());
-      EXPECT_EQ(hit.skyline.get(), cached.skyline_state.get());
-      EXPECT_EQ(hit.topk, nullptr);
-    } else {
-      ASSERT_NE(cached.topk_state, nullptr);
-      EXPECT_EQ(miss.topk.get(), cached.topk_state.get());
-      EXPECT_EQ(hit.topk.get(), cached.topk_state.get());
-      EXPECT_EQ(hit.skyline, nullptr);
-    }
-  }
-}
-
 TEST(BatchExecutorTest, PerQueryFailuresDoNotPoisonTheBatch) {
   auto wb = BuildBench(1000);
   std::vector<BatchQuery> queries;
@@ -267,8 +217,8 @@ TEST(BatchExecutorTest, PerQueryFailuresDoNotPoisonTheBatch) {
   EXPECT_TRUE(batch.results[0].status.ok());
   EXPECT_FALSE(batch.results[1].status.ok());
   EXPECT_TRUE(batch.results[2].status.ok());
-  EXPECT_NE(batch.results[0].skyline, nullptr);
-  EXPECT_NE(batch.results[2].skyline, nullptr);
+  EXPECT_FALSE(batch.results[0].response.tids.empty());
+  EXPECT_FALSE(batch.results[2].response.tids.empty());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Query cache tests (cache/): L1 semantic result cache semantics — exact
-// repeats, top-k truncation, containment reuse (skyline Lemma 2 drill-down,
-// top-k filter pass), epoch staleness after Fig. 7 incremental
-// maintenance, capacity eviction — plus plan-hint bypass and the
-// corruption regression: degraded answers must never populate the result
-// cache.
+// repeats, top-k truncation, top-k containment (filter pass), skylines
+// served only by exact repeats, epoch staleness after Fig. 7 incremental
+// maintenance, capacity eviction — the same reuse through Workbench::Run
+// and RunShared — plus plan-hint bypass and the corruption regression:
+// degraded answers must never populate the result cache.
 // Run under TSan and ASan by scripts/ci.sh.
 #include <gtest/gtest.h>
 
@@ -155,7 +155,7 @@ TEST(ResultCacheTest, ExhaustedTopKAnswersAnyLargerK) {
 
 // --------------------------------------------------------- L1 containment
 
-TEST(ResultCacheTest, SkylineContainmentRunsDrillDownNotFilter) {
+TEST(ResultCacheTest, NarrowSkylineAfterBroadOneRunsFresh) {
   auto wb = BuildBench();
   QueryPlanner planner(wb.get());
   PredicateSet broad{{0, 3}};
@@ -167,20 +167,20 @@ TEST(ResultCacheTest, SkylineContainmentRunsDrillDownNotFilter) {
 
   uint64_t containment_before =
       CounterValue("pcube_result_cache_containment_total");
-  auto drilled = planner.Run(QueryRequest::Skyline(narrow));
-  ASSERT_TRUE(drilled.ok()) << drilled.status().ToString();
-  EXPECT_EQ(drilled->cache, CacheOutcome::kContainment);
+  auto narrowed = planner.Run(QueryRequest::Skyline(narrow));
+  ASSERT_TRUE(narrowed.ok()) << narrowed.status().ToString();
+  // A cached skyline never answers a narrower query: filtering the broad
+  // skyline would lose tuples whose dominators stop qualifying.
+  EXPECT_EQ(narrowed->cache, CacheOutcome::kMiss);
   EXPECT_EQ(CounterValue("pcube_result_cache_containment_total"),
-            containment_before + 1);
-  // The drill-down must produce exactly the fresh answer — filtering the
-  // broad skyline would lose tuples whose dominators stop qualifying.
-  EXPECT_EQ(drilled->tids, NaiveSkyline(wb->data(), narrow));
+            containment_before);
+  EXPECT_EQ(narrowed->tids, NaiveSkyline(wb->data(), narrow));
 
-  // The drilled answer was published: the narrow query now hits exactly.
+  // The fresh answer was published: the narrow query now hits exactly.
   auto repeat = planner.Run(QueryRequest::Skyline(narrow));
   ASSERT_TRUE(repeat.ok());
   EXPECT_EQ(repeat->cache, CacheOutcome::kHit);
-  EXPECT_EQ(repeat->tids, drilled->tids);
+  EXPECT_EQ(repeat->tids, narrowed->tids);
 }
 
 TEST(ResultCacheTest, TopKContainmentFiltersCachedList) {
@@ -206,6 +206,79 @@ TEST(ResultCacheTest, TopKContainmentFiltersCachedList) {
     EXPECT_EQ(filtered->tids[i], narrow_naive[i].first);
     EXPECT_DOUBLE_EQ(filtered->scores[i], narrow_naive[i].second);
   }
+}
+
+// ------------------------------------- RunShared (the network server path)
+
+TEST(ResultCacheTest, RunSharedServesSmallerKByTruncation) {
+  auto wb = BuildBench();
+  PredicateSet preds{{2, 2}};
+  auto f = std::make_shared<LinearRanking>(std::vector<double>{0.5, 0.5});
+
+  auto r10 = wb->RunShared(QueryRequest::TopK(preds, f, 10));
+  ASSERT_TRUE(r10.ok()) << r10.status().ToString();
+  EXPECT_EQ(r10->cache, CacheOutcome::kMiss);
+  ASSERT_EQ(r10->tids.size(), 10u);
+
+  auto r5 = wb->RunShared(QueryRequest::TopK(preds, f, 5));
+  ASSERT_TRUE(r5.ok()) << r5.status().ToString();
+  EXPECT_EQ(r5->cache, CacheOutcome::kHit);
+  EXPECT_EQ(r5->tids,
+            std::vector<TupleId>(r10->tids.begin(), r10->tids.begin() + 5));
+  EXPECT_EQ(r5->scores,
+            std::vector<double>(r10->scores.begin(), r10->scores.begin() + 5));
+
+  // The k = 5 answer came from the k = 10 entry and did not replace it.
+  auto again10 = wb->RunShared(QueryRequest::TopK(preds, f, 10));
+  ASSERT_TRUE(again10.ok()) << again10.status().ToString();
+  EXPECT_EQ(again10->cache, CacheOutcome::kHit);
+  EXPECT_EQ(again10->tids, r10->tids);
+  EXPECT_EQ(again10->scores, r10->scores);
+}
+
+TEST(ResultCacheTest, RunSharedFiltersCachedTopKForNarrowerPredicates) {
+  auto wb = BuildBench();
+  PredicateSet broad{{0, 3}};
+  PredicateSet narrow{{0, 3}, {1, 5}};
+  auto f = std::make_shared<LinearRanking>(std::vector<double>{0.3, 0.7});
+
+  auto base = wb->RunShared(QueryRequest::TopK(broad, f, 60));
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  EXPECT_EQ(base->cache, CacheOutcome::kMiss);
+
+  auto naive = NaiveTopK(wb->data(), narrow, *f, 2);
+  ASSERT_EQ(naive.size(), 2u);
+  auto filtered = wb->RunShared(QueryRequest::TopK(narrow, f, 2));
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  EXPECT_EQ(filtered->cache, CacheOutcome::kContainment);
+  ASSERT_EQ(filtered->tids.size(), naive.size());
+  for (size_t i = 0; i < naive.size(); ++i) {
+    EXPECT_EQ(filtered->tids[i], naive[i].first);
+    EXPECT_EQ(filtered->scores[i], naive[i].second);
+  }
+}
+
+TEST(ResultCacheTest, RunSharedEntrySurvivesInsertOutsideItsCell) {
+  auto wb = BuildBench();
+  PredicateSet preds{{0, 3}};
+  QueryRequest request = QueryRequest::Skyline(preds);
+
+  auto cold = wb->RunShared(request);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->cache, CacheOutcome::kMiss);
+
+  // The new row is in cell (0,4), not (0,3). The R-tree changes, but the
+  // tuples the cached answer ranges over do not.
+  const uint64_t cell_epoch = wb->epoch()->OfCell(AtomicCellId(0, 3));
+  ASSERT_NO_FATAL_FAILURE(InsertTuple(wb.get(), {4, 1, 2}, {0.001f, 0.001f}));
+  ASSERT_EQ(wb->epoch()->OfCell(AtomicCellId(0, 3)), cell_epoch)
+      << "the insert moved tuples of cell (0,3); pick another row";
+
+  auto after = wb->RunShared(request);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->cache, CacheOutcome::kHit);
+  EXPECT_EQ(after->tids, cold->tids);
+  EXPECT_EQ(after->tids, NaiveSkyline(wb->data(), preds));
 }
 
 // ------------------------------------------------------ epoch invalidation
@@ -250,13 +323,13 @@ TEST(ResultCacheUnitTest, OnlyAffectedCellsGoStale) {
   Dataset data = GenerateSynthetic(config);
 
   DataEpoch epoch;
-  ResultCache cache(1 << 20, &epoch, /*enable_containment=*/false);
+  ResultCache cache(1 << 20, &epoch);
   QueryRequest qa = QueryRequest::Skyline({{0, 3}});
   QueryRequest qb = QueryRequest::Skyline({{0, 4}});
   QueryResponse resp;
   resp.tids = {1, 2, 3};
-  cache.Insert(qa, resp, nullptr, nullptr, cache.SnapshotStamps(qa.preds));
-  cache.Insert(qb, resp, nullptr, nullptr, cache.SnapshotStamps(qb.preds));
+  cache.Insert(qa, resp, cache.SnapshotStamps(qa.preds));
+  cache.Insert(qb, resp, cache.SnapshotStamps(qb.preds));
   EXPECT_EQ(cache.Find(qa, data).outcome, CacheOutcome::kHit);
   EXPECT_EQ(cache.Find(qb, data).outcome, CacheOutcome::kHit);
 
@@ -282,7 +355,7 @@ TEST(ResultCacheUnitTest, EvictionKeepsBytesWithinBudget) {
 
   DataEpoch epoch;
   const size_t budget = 64 * 1024;
-  ResultCache cache(budget, &epoch, /*enable_containment=*/false);
+  ResultCache cache(budget, &epoch);
   uint64_t evictions_before = CounterValue("pcube_result_cache_evictions_total");
 
   QueryResponse fat;
@@ -292,8 +365,7 @@ TEST(ResultCacheUnitTest, EvictionKeepsBytesWithinBudget) {
   for (uint32_t v = 0; v < 8; ++v) {
     for (uint32_t w = 0; w < 8; ++w) {
       last = QueryRequest::Skyline({{0, v}, {1, w}});
-      cache.Insert(last, fat, nullptr, nullptr,
-                   cache.SnapshotStamps(last.preds));
+      cache.Insert(last, fat, cache.SnapshotStamps(last.preds));
     }
   }
   EXPECT_LE(cache.bytes(), budget);

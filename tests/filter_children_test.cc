@@ -5,7 +5,9 @@
 // a forwarding decorator that overrides only Test/TestData, so the engines
 // take BooleanProbe's per-child default. The answers, the Lemma 2 lists
 // (id, path, key and order), every engine counter except sig_seconds, and
-// the partial-signature loads must agree exactly.
+// the partial-signature loads must agree exactly. A third run of each
+// query with set_keep_seeds(false), as the served paths run it, must give
+// the same answer and counters with empty lists.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -118,6 +120,16 @@ class FilterChildrenTest : public ::testing::TestWithParam<InstanceParam> {
     EXPECT_EQ((*fast_probe)->partials_loaded(), slow_probe.partials_loaded())
         << what;
     Tally(a->counters, (*fast_probe)->partials_loaded());
+
+    auto bare_probe = fast_->cube()->MakeProbe(preds);
+    PCUBE_CHECK(bare_probe.ok());
+    SkylineEngine bare(fast_->tree(), bare_probe->get(), nullptr, options);
+    bare.set_keep_seeds(false);
+    auto c = seed == nullptr ? bare.Run() : bare.RunFrom(*seed);
+    PCUBE_CHECK(c.ok()) << c.status().ToString();
+    ExpectSameEntries(c->skyline, a->skyline, what + " skyline, no seeds");
+    EXPECT_TRUE(c->b_list.empty() && c->d_list.empty()) << what;
+    ExpectSameCounters(c->counters, a->counters, what + ", no seeds");
     return std::move(*a);
   }
 
@@ -142,6 +154,18 @@ class FilterChildrenTest : public ::testing::TestWithParam<InstanceParam> {
     EXPECT_EQ((*fast_probe)->partials_loaded(), slow_probe.partials_loaded())
         << what;
     Tally(a->counters, (*fast_probe)->partials_loaded());
+
+    auto bare_probe = fast_->cube()->MakeProbe(preds);
+    PCUBE_CHECK(bare_probe.ok());
+    TopKEngine bare(fast_->tree(), bare_probe->get(), nullptr, &f, k);
+    bare.set_keep_seeds(false);
+    auto c = seed == nullptr ? bare.Run() : bare.RunFrom(*seed);
+    PCUBE_CHECK(c.ok()) << c.status().ToString();
+    ExpectSameEntries(c->results, a->results, what + " results, no seeds");
+    EXPECT_TRUE(c->b_list.empty() && c->d_list.empty() &&
+                c->remaining.empty())
+        << what;
+    ExpectSameCounters(c->counters, a->counters, what + ", no seeds");
     return std::move(*a);
   }
 

@@ -85,7 +85,7 @@ TEST_F(WalTest, CommitSurvivesReopen) {
 TEST_F(WalTest, StagedGroupCommitsInOneSync) {
   auto wal = OpenFresh();
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(wal->Stage("r" + std::to_string(i)).ok());
+    ASSERT_TRUE(wal->Stage(std::string("r").append(std::to_string(i))).ok());
   }
   const uint64_t syncs_before = wal->sync_count();
   uint32_t group = 0;
@@ -105,8 +105,11 @@ TEST_F(WalTest, ConcurrentWritersAllCommit) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        auto lsn = wal->Stage("t" + std::to_string(t) + "-" +
-                              std::to_string(i));
+        std::string record = "t";
+        record += std::to_string(t);
+        record += '-';
+        record += std::to_string(i);
+        auto lsn = wal->Stage(record);
         if (!lsn.ok() || !wal->WaitDurable(*lsn).ok()) {
           failures.fetch_add(1);
           return;

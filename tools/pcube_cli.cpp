@@ -287,7 +287,8 @@ const char* DictValue(const Workbench& wb, int dim, uint32_t code) {
       code < dicts[dim].size()) {
     return dicts[dim][code].c_str();
   }
-  scratch = "#" + std::to_string(code);
+  scratch.assign(1, '#');
+  scratch += std::to_string(code);
   return scratch.c_str();
 }
 
