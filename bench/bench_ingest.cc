@@ -3,7 +3,10 @@
 // real WAL append + fsync — first alone, then concurrent with query
 // traffic. Reports inserts/sec, commit-latency quantiles (p50/p95/p99),
 // and the group-commit amortization (commits per fsync), which is the
-// number the whole design argues for: N writers, one disk flush.
+// number the whole design argues for: N writers, one disk flush. Beside
+// ingest it also reports the reader side: query latency p50/p99, the
+// queries' structure-lock wait (mean, p99) and how long maintenance held
+// that lock exclusively per slice phase.
 //
 // Doubles as the scripts/ci.sh `ingest` smoke gate (non-zero exit) when:
 //   - any Apply or query fails, or a commit comes back non-durable,
@@ -33,6 +36,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/metrics.h"
 #include "common/timer.h"
 #include "data/generators.h"
 #include "query/write_batch.h"
@@ -61,6 +65,13 @@ struct PhaseStats {
   uint64_t syncs = 0;  ///< fsyncs this phase (group commit amortizes these)
   double reader_qps = 0;
   uint64_t queries = 0;
+  double reader_p50_ms = 0, reader_p99_ms = 0;
+  /// pcube_struct_lock_wait_seconds{side="reader"} over the phase.
+  double lock_wait_mean_ms = 0, lock_wait_p99_ms = 0;
+  /// pcube_maintenance_hold_seconds{phase=...} over the phase: mean hold
+  /// and number of holds per phase.
+  double hold_tree_ms = 0, hold_install_ms = 0, hold_locked_ms = 0;
+  uint64_t holds_tree = 0, holds_install = 0, holds_locked = 0;
 };
 
 }  // namespace
@@ -130,6 +141,13 @@ int main() {
     std::vector<std::vector<uint32_t>> groups(writers);
     std::atomic<bool> writers_done{false};
     std::atomic<uint64_t> queries_ok{0};
+    std::vector<std::vector<double>> query_ms(readers);
+    const StructLockMetrics& lock_metrics = StructLockMetrics::Default();
+    for (Histogram* h :
+         {lock_metrics.reader_wait, lock_metrics.hold_tree,
+          lock_metrics.hold_install, lock_metrics.hold_locked}) {
+      h->Reset();
+    }
 
     Timer phase_timer;
     std::vector<std::thread> threads;
@@ -160,11 +178,13 @@ int main() {
           PredicateSet preds{
               {static_cast<int>(i % config.num_bool),
                static_cast<uint32_t>((i * 7) % config.bool_cardinality)}};
+          Timer query_timer;
           auto resp = wb.RunShared(QueryRequest::Skyline(preds));
           if (!resp.ok()) {
             failures.fetch_add(1);
             return;
           }
+          query_ms[r].push_back(query_timer.ElapsedMillis());
           queries_ok.fetch_add(1);
           ++i;
         }
@@ -198,6 +218,21 @@ int main() {
     stats.syncs = wb.wal()->sync_count() - syncs_before;
     stats.queries = queries_ok.load();
     stats.reader_qps = static_cast<double>(stats.queries) / write_seconds;
+    std::vector<double> all_query_ms;
+    for (const auto& v : query_ms) {
+      all_query_ms.insert(all_query_ms.end(), v.begin(), v.end());
+    }
+    std::sort(all_query_ms.begin(), all_query_ms.end());
+    stats.reader_p50_ms = Quantile(all_query_ms, 0.50);
+    stats.reader_p99_ms = Quantile(all_query_ms, 0.99);
+    stats.lock_wait_mean_ms = lock_metrics.reader_wait->Mean() * 1e3;
+    stats.lock_wait_p99_ms = lock_metrics.reader_wait->Quantile(0.99) * 1e3;
+    stats.hold_tree_ms = lock_metrics.hold_tree->Mean() * 1e3;
+    stats.hold_install_ms = lock_metrics.hold_install->Mean() * 1e3;
+    stats.hold_locked_ms = lock_metrics.hold_locked->Mean() * 1e3;
+    stats.holds_tree = lock_metrics.hold_tree->Count();
+    stats.holds_install = lock_metrics.hold_install->Count();
+    stats.holds_locked = lock_metrics.hold_locked->Count();
     std::string query_note =
         with_queries
             ? " | " + std::to_string(stats.queries) + " concurrent queries"
@@ -209,6 +244,21 @@ int main() {
         stats.commit_p95_ms, stats.commit_p99_ms, stats.mean_group,
         stats.max_group, static_cast<unsigned long long>(stats.batches),
         static_cast<unsigned long long>(stats.syncs), query_note.c_str());
+    if (with_queries) {
+      std::printf(
+          "  %-14s query p50/p99 %.3f/%.3f ms  lock wait mean/p99 "
+          "%.3f/%.3f ms\n",
+          "", stats.reader_p50_ms, stats.reader_p99_ms,
+          stats.lock_wait_mean_ms, stats.lock_wait_p99_ms);
+    }
+    std::printf(
+        "  %-14s maintenance holds: tree %.2f ms x%llu, install %.2f ms "
+        "x%llu, locked %.2f ms x%llu\n",
+        "", stats.hold_tree_ms, static_cast<unsigned long long>(stats.holds_tree),
+        stats.hold_install_ms,
+        static_cast<unsigned long long>(stats.holds_install),
+        stats.hold_locked_ms,
+        static_cast<unsigned long long>(stats.holds_locked));
     return stats;
   };
 
@@ -279,7 +329,17 @@ int main() {
          << ", \"max_group_size\": " << p.max_group
          << ", \"commits\": " << p.batches << ", \"fsyncs\": " << p.syncs
          << ", \"reader_qps\": " << p.reader_qps
-         << ", \"queries\": " << p.queries << "}"
+         << ", \"queries\": " << p.queries
+         << ", \"reader_p50_ms\": " << p.reader_p50_ms
+         << ", \"reader_p99_ms\": " << p.reader_p99_ms
+         << ", \"reader_lock_wait_mean_ms\": " << p.lock_wait_mean_ms
+         << ", \"reader_lock_wait_p99_ms\": " << p.lock_wait_p99_ms
+         << ", \"hold_tree_mean_ms\": " << p.hold_tree_ms
+         << ", \"hold_tree_count\": " << p.holds_tree
+         << ", \"hold_install_mean_ms\": " << p.hold_install_ms
+         << ", \"hold_install_count\": " << p.holds_install
+         << ", \"hold_locked_mean_ms\": " << p.hold_locked_ms
+         << ", \"hold_locked_count\": " << p.holds_locked << "}"
          << (i + 1 < phases.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"forced_group\": {\"writers\": " << forced_writers

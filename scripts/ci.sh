@@ -7,7 +7,8 @@
 #            (default: all, in that order)
 #
 # Phases:
-#   plain      — RelWithDebInfo build, full ctest suite (includes the
+#   plain      — clean RelWithDebInfo build that fails on any compiler
+#                `warning:` line, then the full ctest suite (includes the
 #                compile-fail negative tests of the enforcement layer).
 #   archive    — configures and builds the committed tree alone: the
 #                output of `git archive HEAD`, unpacked in a temp
@@ -121,7 +122,18 @@ sanitizer_pass() {
 
 if want plain; then
   echo "=== plain build ==="
-  ensure_plain_build
+  # A clean build, so the log holds every translation unit's warnings; the
+  # tree builds warning-free, and any `warning:` line fails the phase.
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  PLAIN_LOG="$(mktemp)"
+  cmake --build build -j "$JOBS" --clean-first 2>&1 | tee "$PLAIN_LOG"
+  if grep -q "warning:" "$PLAIN_LOG"; then
+    grep "warning:" "$PLAIN_LOG" >&2
+    rm -f "$PLAIN_LOG"
+    echo "ci.sh: the plain build emitted warnings" >&2
+    exit 1
+  fi
+  rm -f "$PLAIN_LOG"
   echo "=== plain ctest ==="
   ctest --test-dir build --output-on-failure
 fi

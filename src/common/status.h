@@ -3,10 +3,10 @@
 // operations return Status (or Result<T> when they produce a value).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <variant>
 
 #include "common/logging.h"
 
@@ -117,29 +117,26 @@ class [[nodiscard]] Status {
 template <typename T>
 class [[nodiscard]] Result {
  public:
-  Result(T value) : repr_(std::move(value)) {}              // NOLINT implicit
-  Result(Status status) : repr_(std::move(status)) {        // NOLINT implicit
-    PCUBE_DCHECK(!std::get<Status>(repr_).ok());
+  Result(T value) : value_(std::move(value)) {}             // NOLINT implicit
+  Result(Status status) : status_(std::move(status)) {      // NOLINT implicit
+    PCUBE_DCHECK(!status_.ok());
   }
 
-  bool ok() const { return std::holds_alternative<T>(repr_); }
+  bool ok() const { return value_.has_value(); }
 
-  const Status& status() const {
-    static const Status kOk;
-    return ok() ? kOk : std::get<Status>(repr_);
-  }
+  const Status& status() const { return status_; }
 
   T& value() & {
     PCUBE_DCHECK(ok());
-    return std::get<T>(repr_);
+    return *value_;
   }
   const T& value() const& {
     PCUBE_DCHECK(ok());
-    return std::get<T>(repr_);
+    return *value_;
   }
   T&& value() && {
     PCUBE_DCHECK(ok());
-    return std::get<T>(std::move(repr_));
+    return *std::move(value_);
   }
 
   T& operator*() & { return value(); }
@@ -148,7 +145,12 @@ class [[nodiscard]] Result {
   const T* operator->() const { return &value(); }
 
  private:
-  std::variant<T, Status> repr_;
+  // Two members rather than a std::variant<T, Status>: the status is always
+  // constructed (OK when a value is held), so no compiler has to prove which
+  // alternative a destructor runs on. GCC 12 could not, and warned
+  // -Wmaybe-uninitialized on the Status string of every Result<int>.
+  Status status_;
+  std::optional<T> value_;
 };
 
 }  // namespace pcube

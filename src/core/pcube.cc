@@ -162,6 +162,12 @@ Status PCube::ApplyChanges(const Dataset& data, const PathChangeSet& changes) {
     return Status::NotSupported(
         "batch contained a root split: every path changed, call Rebuild()");
   }
+  return InstallChanges(ComputeChanges(data, changes));
+}
+
+PCube::CubeUpdate PCube::ComputeChanges(const Dataset& data,
+                                        const PathChangeSet& changes) const {
+  PCUBE_CHECK(!changes.root_split);
   // Group per-cell operations so each affected cell is rewritten once.
   struct CellOps {
     std::vector<Path> clears;
@@ -180,19 +186,33 @@ Status PCube::ApplyChanges(const Dataset& data, const PathChangeSet& changes) {
       if (c.has_new && (moved || inserted)) o.sets.push_back(c.new_path);
     }
   }
-  Status status;
-  for (auto& [cell, o] : ops) {
+  CubeUpdate update;
+  update.touched.reserve(ops.size());
+  for (const auto& [cell, o] : ops) update.touched.push_back(cell);
+  update.cells.reserve(ops.size());
+  for (const auto& [cell, o] : ops) {
     auto sig = store_->LoadFull(cell, fanout_, levels_);
     if (!sig.ok()) {
-      status = sig.status();
+      update.status = sig.status();
       break;
     }
     // Clears before sets: a move within one cell must not drop fresh bits.
     for (const Path& p : o.clears) sig->ClearPath(p);
     for (const Path& p : o.sets) sig->SetPath(p);
-    status = store_->Put(cell, *sig);
+    CellUpdate& u = update.cells.emplace_back();
+    u.cell = cell;
+    u.partials = DecomposeSignature(*sig, SignatureStore::kMaxPayload);
+    if (bloom_ != nullptr) u.sig = std::move(*sig);
+  }
+  return update;
+}
+
+Status PCube::InstallChanges(const CubeUpdate& update) {
+  Status status;
+  for (const CellUpdate& u : update.cells) {
+    status = store_->PutPartials(u.cell, u.partials);
     if (status.ok() && bloom_ != nullptr) {
-      status = bloom_->Put(cell, *sig, options_.bloom_bits_per_key);
+      status = bloom_->Put(u.cell, *u.sig, options_.bloom_bits_per_key);
     }
     if (!status.ok()) break;
   }
@@ -200,14 +220,11 @@ Status PCube::ApplyChanges(const Dataset& data, const PathChangeSet& changes) {
     // Bump AFTER the writes (even failed ones — partially applied batches
     // must invalidate too): a concurrent fill that read its stamp before
     // this point can only look stale at lookup, never wrongly fresh. Even
-    // an empty ops map bumps the global epoch — the underlying mutation
+    // an empty update bumps the global epoch — the underlying mutation
     // still changed the relation that predicate-free answers range over.
-    std::vector<CellId> bumped;
-    bumped.reserve(ops.size());
-    for (const auto& [cell, o] : ops) bumped.push_back(cell);
-    epoch_->BumpCells(bumped);
+    epoch_->BumpCells(update.touched);
   }
-  return status;
+  return status.ok() ? update.status : status;
 }
 
 Status PCube::Rebuild(const Dataset& data, const RStarTree& tree) {

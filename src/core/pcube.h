@@ -10,17 +10,20 @@
 //   * generation  — Build(): partition -> summarise -> compress -> decompose
 //   * retrieval   — MakeProbe(): lazy cursors with per-partial page loads
 //   * maintenance — ApplyChanges(): flip affected cells' signature bits for
-//                   every path change the R-tree reports
+//                   every path change the R-tree reports; split into a
+//                   read-only ComputeChanges() and a short InstallChanges()
 //   * §VII extras — optional Bloom-filter signatures (MakeBloomProbe)
 //
 // Thread-safety: a built cube is immutable at query time. MakeProbe /
 // MakeBloomProbe are const and safe to call from any number of threads —
 // each returned probe owns its private cursors and must be confined to the
-// query (thread) that made it. Build and ApplyChanges are single-threaded
-// by contract (DESIGN.md "Concurrency model").
+// query (thread) that made it. ComputeChanges is const and only reads, so it
+// may run beside queries; Build, InstallChanges, ApplyChanges and Rebuild
+// write and must not overlap any reader (DESIGN.md "Concurrency model").
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "cache/epoch.h"
 #include "core/bloom_store.h"
@@ -86,6 +89,26 @@ class PCube {
   /// Pages owned by signatures + directory (+ bloom store), for Fig. 6.
   uint64_t MaterializedPages() const;
 
+  /// True when the §VII Bloom-filter signatures are materialised too.
+  bool has_bloom() const { return bloom_ != nullptr; }
+
+  /// The recomputed signatures of one batch of path changes, decomposed and
+  /// ready to install (the output of ComputeChanges).
+  struct CellUpdate {
+    CellId cell = 0;
+    std::vector<PartialSignature> partials;
+    /// The whole signature, kept only when Bloom filters are rebuilt from it.
+    std::optional<Signature> sig;
+  };
+  struct CubeUpdate {
+    /// Every affected cell, computed or not: all of them get an epoch bump.
+    std::vector<CellId> touched;
+    /// Cells whose new partials were computed, in `touched` order.
+    std::vector<CellUpdate> cells;
+    /// First failure of the compute phase; later cells were not computed.
+    Status status;
+  };
+
  private:
   /// The write path's applier (workbench/write_path.h) is the only caller
   /// of the maintenance mutators below: every mutation must flow through
@@ -95,8 +118,20 @@ class PCube {
   /// Incremental maintenance (paper §IV.B.3): applies the path changes of
   /// one insert/delete batch to every affected cell's stored signature.
   /// Fails with NotSupported when the batch included a root split — callers
-  /// should Rebuild() (every path changed).
+  /// should Rebuild() (every path changed). Equal to ComputeChanges followed
+  /// by InstallChanges.
   Status ApplyChanges(const Dataset& data, const PathChangeSet& changes);
+
+  /// The compute phase of ApplyChanges: loads each affected cell's stored
+  /// signature, flips the changed paths and decomposes the result. Writes
+  /// nothing. `changes` must not contain a root split.
+  CubeUpdate ComputeChanges(const Dataset& data,
+                            const PathChangeSet& changes) const;
+
+  /// The install phase: writes the computed partials (and Bloom filters),
+  /// then bumps the epochs of every touched cell, even on failure. Returns
+  /// the first failure of either phase.
+  Status InstallChanges(const CubeUpdate& update);
 
   /// Recomputes every materialised signature from the tree's current state.
   Status Rebuild(const Dataset& data, const RStarTree& tree);

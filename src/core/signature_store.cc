@@ -80,9 +80,9 @@ Result<uint64_t> SignatureStore::AppendBlob(const std::vector<uint8_t>& bytes) {
                       static_cast<uint32_t>(bytes.size()));
 }
 
-Status SignatureStore::Put(CellId cell, const Signature& sig) {
+Status SignatureStore::PutPartials(
+    CellId cell, const std::vector<PartialSignature>& partials) {
   uint32_t dense = InternCell(cell);
-  std::vector<PartialSignature> partials = DecomposeSignature(sig, kMaxPayload);
 
   // Existing partial locations for this cell, for in-place overwrites.
   std::map<uint64_t, uint64_t> old_locs;  // sid -> packed location

@@ -6,8 +6,9 @@
 //
 // Thread-safety: after construction the store is read-only; LoadPartial and
 // ListPartials are const, cache nothing locally, and may be called from any
-// number of threads (the BufferPool serialises same-page access). Append /
-// Rewrite are build- and maintenance-time only, single-threaded by contract.
+// number of threads (the BufferPool serialises same-page access). Put /
+// PutPartials / Compact are build- and maintenance-time only and must not
+// overlap any reader (the Workbench holds its structure lock exclusively).
 #pragma once
 
 #include <algorithm>
@@ -70,7 +71,14 @@ class SignatureStore {
   /// Writes the decomposed form of `sig` for `cell`, replacing any previous
   /// version: partials with the same SID are overwritten in place, removed
   /// SIDs are tombstoned, new SIDs get fresh pages.
-  Status Put(CellId cell, const Signature& sig);
+  Status Put(CellId cell, const Signature& sig) {
+    return PutPartials(cell, DecomposeSignature(sig, kMaxPayload));
+  }
+
+  /// The write half of Put: installs an already decomposed signature
+  /// (DecomposeSignature(sig, kMaxPayload)). Maintenance decomposes while
+  /// queries run and holds the structure lock exclusively only for this.
+  Status PutPartials(CellId cell, const std::vector<PartialSignature>& partials);
 
   /// Loads the payload of the partial signature <cell, sid>; NotFound when
   /// the cell has no partial rooted there.

@@ -11,30 +11,46 @@ namespace pcube {
 
 void ReportQueryMetrics(const BatchQuery& query, const QueryResponse& resp,
                         const Status& status) {
-  MetricsRegistry& registry = MetricsRegistry::Default();
-  registry
-      .GetCounter(query.kind == BatchQuery::Kind::kSkyline
-                      ? "pcube_queries_total{kind=\"skyline\"}"
-                      : "pcube_queries_total{kind=\"topk\"}")
+  // Resolved once: every served query reports here, and a registry lookup
+  // takes the registry's exclusive lock.
+  struct Handles {
+    Counter* skylines;
+    Counter* topks;
+    Counter* failures;
+    Counter* timeouts;
+    Histogram* seconds;
+    Counter* nodes_expanded;
+    Counter* pruned_boolean;
+    Counter* pruned_preference;
+    Counter* verified;
+    Gauge* heap_peak;
+  };
+  static const Handles h = [] {
+    MetricsRegistry& r = MetricsRegistry::Default();
+    return Handles{r.GetCounter("pcube_queries_total{kind=\"skyline\"}"),
+                   r.GetCounter("pcube_queries_total{kind=\"topk\"}"),
+                   r.GetCounter("pcube_query_failures_total"),
+                   r.GetCounter("pcube_query_timeouts_total"),
+                   r.GetHistogram("pcube_query_seconds"),
+                   r.GetCounter("pcube_engine_nodes_expanded_total"),
+                   r.GetCounter("pcube_engine_pruned_boolean_total"),
+                   r.GetCounter("pcube_engine_pruned_preference_total"),
+                   r.GetCounter("pcube_engine_verified_total"),
+                   r.GetGauge("pcube_engine_heap_peak")};
+  }();
+  (query.kind == BatchQuery::Kind::kSkyline ? h.skylines : h.topks)
       ->Increment();
   if (!status.ok()) {
-    registry.GetCounter("pcube_query_failures_total")->Increment();
-    if (status.IsTimeout()) {
-      registry.GetCounter("pcube_query_timeouts_total")->Increment();
-    }
+    h.failures->Increment();
+    if (status.IsTimeout()) h.timeouts->Increment();
     return;
   }
-  registry.GetHistogram("pcube_query_seconds")->Observe(resp.seconds);
-  registry.GetCounter("pcube_engine_nodes_expanded_total")
-      ->Increment(resp.counters.nodes_expanded);
-  registry.GetCounter("pcube_engine_pruned_boolean_total")
-      ->Increment(resp.counters.pruned_boolean);
-  registry.GetCounter("pcube_engine_pruned_preference_total")
-      ->Increment(resp.counters.pruned_preference);
-  registry.GetCounter("pcube_engine_verified_total")
-      ->Increment(resp.counters.verified);
-  registry.GetGauge("pcube_engine_heap_peak")
-      ->Set(static_cast<double>(resp.counters.heap_peak));
+  h.seconds->Observe(resp.seconds);
+  h.nodes_expanded->Increment(resp.counters.nodes_expanded);
+  h.pruned_boolean->Increment(resp.counters.pruned_boolean);
+  h.pruned_preference->Increment(resp.counters.pruned_preference);
+  h.verified->Increment(resp.counters.verified);
+  h.heap_peak->Set(static_cast<double>(resp.counters.heap_peak));
 }
 
 BatchQueryResult BatchExecutor::ExecuteOne(const BatchQuery& query) const {

@@ -5,14 +5,15 @@
 #include <cstdio>
 #include <unordered_set>
 
+#include "common/timer.h"
 #include "workbench/catalog.h"
 #include "workbench/planner.h"
 
 namespace pcube {
 
 namespace {
-/// Rows the maintenance thread applies per structure-writer-lock slice:
-/// bounds how long a slice can stall readers (fork_gc-style batching).
+/// Rows per maintenance slice (and per WAL replay slice): bounds how long
+/// a slice's exclusive phases can stall readers (fork_gc-style batching).
 constexpr size_t kMaintenanceSliceRows = 4096;
 }  // namespace
 
@@ -164,8 +165,8 @@ void Workbench::MaintenanceLoop() {
       }
     }
 
-    // Take a bounded slice of durable batches so the structure writer lock
-    // below is held for a bounded stretch — readers run between slices.
+    // Take a bounded slice of durable batches so each exclusive phase of
+    // ApplySlice holds the structure lock for a bounded stretch.
     const uint64_t durable_upper = wal_->durable_lsn();
     std::vector<PendingWrite> slice;
     size_t slice_rows = 0;
@@ -179,18 +180,16 @@ void Workbench::MaintenanceLoop() {
     if (slice.empty()) continue;
     lock.Unlock();
 
-    std::vector<std::pair<uint64_t, Status>> failures;
-    {
-      WriterLock structure_lock(&struct_mu_);
-      WriteApplier applier(this);
-      for (const PendingWrite& w : slice) {
-        Status applied = applier.Apply(w.batch, /*replay=*/false);
-        if (!applied.ok()) failures.emplace_back(w.lsn, applied);
-      }
-    }
+    std::vector<const WriteBatch*> batches;
+    batches.reserve(slice.size());
+    for (const PendingWrite& w : slice) batches.push_back(&w.batch);
+    std::vector<Status> applied =
+        WriteApplier(this).ApplySlice(batches, /*replay=*/false);
 
     lock.Lock();
-    for (auto& [lsn, st] : failures) apply_errors_[lsn] = std::move(st);
+    for (size_t i = 0; i < slice.size(); ++i) {
+      if (!applied[i].ok()) apply_errors_[slice[i].lsn] = std::move(applied[i]);
+    }
     applied_lsn_ = std::max(applied_lsn_, slice.back().lsn);
     applied_cv_.SignalAll();
   }
@@ -313,6 +312,16 @@ Status Workbench::Save() {
   // structures, and nothing may mutate them while pages flush.
   PCUBE_RETURN_NOT_OK(DrainWrites());
   WriterLock structure_lock(&struct_mu_);
+  {
+    // A batch staged after the drain may sit between its slice's phases
+    // (rows in the tree, signature bits not yet installed); a snapshot and
+    // a checkpoint then would persist that gap.
+    MutexLock lock(&write_mu_);
+    if (applied_lsn_ + 1 < wal_->next_lsn()) {
+      return Status::InvalidArgument(
+          "Save() with writes in flight; drain writers first");
+    }
+  }
   CatalogData c;
   c.num_bool = data_.num_bool();
   c.num_pref = data_.num_pref();
@@ -462,24 +471,43 @@ Result<std::unique_ptr<Workbench>> Workbench::Open(
   auto wal = Wal::Open(wal_options);
   if (!wal.ok()) return wal.status();
   wb->wal_ = std::move(*wal);
-  WriteApplier applier(wb.get());
+  // Replayed batches go through the maintenance thread's slice routine in
+  // slices of the same bound; `rows` is the row count once the collected
+  // slice is applied.
   bool replay_applied = false;
+  std::vector<WriteBatch> slice;
+  size_t slice_rows = 0;
+  uint64_t rows = wb->data_.num_tuples();
+  auto apply_slice = [&]() -> Status {
+    std::vector<const WriteBatch*> batches;
+    for (const WriteBatch& b : slice) batches.push_back(&b);
+    std::vector<Status> applied =
+        WriteApplier(wb.get()).ApplySlice(batches, /*replay=*/true);
+    slice.clear();
+    slice_rows = 0;
+    for (const Status& st : applied) PCUBE_RETURN_NOT_OK(st);
+    return Status::OK();
+  };
   auto replayed = wb->wal_->Replay([&](const Wal::Record& record) -> Status {
     uint64_t base_rows = 0;
     WriteBatch batch;
     PCUBE_RETURN_NOT_OK(DecodeWalPayload(record.payload, &base_rows, &batch));
-    if (base_rows > wb->data_.num_tuples()) {
+    if (base_rows > rows) {
       return Status::Corruption(
           "WAL record " + std::to_string(record.lsn) + ": row cursor " +
           std::to_string(base_rows) + " is ahead of the heap file (" +
-          std::to_string(wb->data_.num_tuples()) + " rows)");
+          std::to_string(rows) + " rows)");
     }
-    if (base_rows < wb->data_.num_tuples()) return Status::OK();
+    if (base_rows < rows) return Status::OK();
     PCUBE_RETURN_NOT_OK(ValidateWriteBatch(batch, wb->data_.schema()));
     replay_applied = true;
-    return applier.Apply(batch, /*replay=*/true);
+    rows += batch.inserts.size();
+    slice_rows += batch.num_rows();
+    slice.push_back(std::move(batch));
+    return slice_rows < kMaintenanceSliceRows ? Status::OK() : apply_slice();
   });
   if (!replayed.ok()) return replayed.status();
+  if (!slice.empty()) PCUBE_RETURN_NOT_OK(apply_slice());
 
   wb->SetUpCaches(options);
   PCUBE_RETURN_NOT_OK(wb->ColdStart());
@@ -507,10 +535,14 @@ Status Workbench::ColdStart() {
 }
 
 Result<QueryResponse> Workbench::Run(const QueryRequest& request) {
-  // Shared side of the structure lock: the maintenance thread mutates the
-  // tree/cube/indices only under the exclusive side, so a query observes a
-  // consistent structure snapshot for its whole execution.
-  ReaderLock structure_lock(&struct_mu_);
+  // Exclusive side of the structure lock: the planner cold-starts the
+  // buffer pool, which no other page user may overlap — neither a shared
+  // query nor the maintenance thread's compute phase, which reads
+  // signature pages beside queries. It also keeps the query's I/O counts
+  // its own.
+  Timer wait;
+  WriterLock structure_lock(&struct_mu_);
+  StructLockMetrics::Default().reader_wait->Observe(wait.ElapsedSeconds());
   QueryPlanner planner(this);
   return planner.Run(request);
 }
@@ -519,7 +551,12 @@ Result<QueryResponse> Workbench::RunShared(const QueryRequest& request) {
   if (shared_executor_ == nullptr) {
     return Status::NotSupported("instance was built without a cube");
   }
+  // Shared side of the structure lock: the maintenance thread mutates the
+  // structures only under the exclusive side, so a query observes one
+  // consistent state for its whole execution.
+  Timer wait;
   ReaderLock structure_lock(&struct_mu_);
+  StructLockMetrics::Default().reader_wait->Observe(wait.ElapsedSeconds());
   BatchQueryResult result = shared_executor_->ExecuteOne(request);
   ReportQueryMetrics(request, result.response, result.status);
   if (!result.status.ok()) return result.status;
@@ -527,7 +564,9 @@ Result<QueryResponse> Workbench::RunShared(const QueryRequest& request) {
 }
 
 Result<PlanEstimate> Workbench::Estimate(const PredicateSet& preds) {
+  Timer wait;
   ReaderLock structure_lock(&struct_mu_);
+  StructLockMetrics::Default().reader_wait->Observe(wait.ElapsedSeconds());
   QueryPlanner planner(this);
   return planner.Estimate(preds);
 }
@@ -558,7 +597,9 @@ Result<TopKOutput> Workbench::SignatureTopK(const PredicateSet& preds,
 BatchOutput Workbench::RunBatch(const std::vector<BatchQuery>& queries,
                                 size_t num_workers, QueryLog* query_log) {
   PCUBE_CHECK(cube_ != nullptr);
+  Timer wait;
   ReaderLock structure_lock(&struct_mu_);
+  StructLockMetrics::Default().reader_wait->Observe(wait.ElapsedSeconds());
   ThreadPool pool(num_workers);
   BatchExecutor executor(tree_.get(), cube_.get(), &pool, query_log,
                          result_cache_.get(), &data_);

@@ -150,7 +150,10 @@ class Workbench {
 
   /// The single-query entry point: plans via QueryPlanner — L1 lookup,
   /// cost-based plan choice honouring request.hint, cold-start execution,
-  /// cache publish. See workbench/planner.h for the contract.
+  /// cache publish. See workbench/planner.h for the contract. The cold
+  /// start empties the shared buffer pool, so Run holds the structure lock
+  /// exclusively: it waits for running queries and maintenance phases
+  /// instead of overlapping them.
   Result<QueryResponse> Run(const QueryRequest& request);
 
   /// Thread-safe single-query entry for concurrent callers (the network
@@ -176,8 +179,8 @@ class Workbench {
   /// reaches the WAL, so a batch the log accepted can only fail to apply on
   /// a storage fault — replay after a crash never trips over a batch the
   /// original run already refused. Thread-safe; runs concurrently with
-  /// queries, which only ever block for the bounded slice the maintenance
-  /// thread holds the structure writer lock.
+  /// queries, which only ever block for the short exclusive phases of a
+  /// maintenance slice (write_path.h).
   Result<WriteResult> Apply(const WriteBatch& batch);
 
   /// The write cursor: row count including every staged insert — the tid
@@ -262,15 +265,18 @@ class Workbench {
   };
 
   /// Background maintenance: takes bounded slices of DURABLE pending
-  /// batches, applies them under the structure writer lock (readers run
-  /// between slices), records per-batch failures, advances applied_lsn_.
+  /// batches, applies them through WriteApplier::ApplySlice (exclusive tree
+  /// and install phases around a compute phase that runs beside queries),
+  /// records per-batch failures, advances applied_lsn_.
   void MaintenanceLoop();
 
   // pcube-lint: begin-lock-free(the structural members are synchronized by
   // struct_mu_'s whole-execution protocol: queries hold the shared side for
-  // their entire run, the maintenance thread takes the exclusive side per
-  // bounded slice — a discipline GUARDED_BY cannot express because reads
-  // reach these fields through layers that never see the lock)
+  // their entire run; the maintenance thread writes only under the
+  // exclusive side (a slice's tree and install phases) and reads under the
+  // shared side beside queries (its compute phase) — a discipline
+  // GUARDED_BY cannot express because reads reach these fields through
+  // layers that never see the lock)
   Dataset data_;
   IoStats stats_;
   IoStats snapshot_;
@@ -296,9 +302,11 @@ class Workbench {
   // pcube-lint: lock-free(the Wal is internally synchronized; the pointer
   // itself is fixed by Build()/Open() before the maintenance thread starts)
   std::unique_ptr<Wal> wal_;
-  /// Structure lock: queries hold it shared for their whole execution, the
-  /// maintenance thread holds it exclusive per bounded slice. Mutable so
-  /// const observers (ExportMetrics) can take the shared side.
+  /// Structure lock: queries hold it shared for their whole execution (Run
+  /// exclusive, for its cold start); the maintenance thread holds it
+  /// exclusive for a slice's tree and install phases and shared for the
+  /// compute phase between them. Mutable so const observers (ExportMetrics)
+  /// can take the shared side.
   mutable SharedMutex struct_mu_;
   /// Deleted tuples (see tombstones()); written under struct_mu_ exclusive,
   /// read by the boolean-first plan under the shared side.

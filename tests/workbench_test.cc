@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "common/metrics.h"
 #include "data/generators.h"
 #include "query/reference.h"
 #include "workbench/workbench.h"
@@ -98,6 +99,23 @@ TEST(WorkbenchTest, ColdStartResetsAccounting) {
   EXPECT_GT(wb->IoSince().TotalReads(), 0u);
   ASSERT_TRUE(wb->ColdStart().ok());
   EXPECT_EQ(wb->IoSince().TotalReads(), 0u);
+}
+
+TEST(WorkbenchTest, QueryEntryPointsRecordOneReaderLockWait) {
+  // pcube_struct_lock_wait_seconds{side="reader"} gets exactly one
+  // observation per query: the wait for the structure lock.
+  auto wb = MakeWorkbench(2000, 705);
+  const Histogram* wait = MetricsRegistry::Default().GetHistogram(
+      "pcube_struct_lock_wait_seconds{side=\"reader\"}");
+  uint64_t before = wait->Count();
+  ASSERT_TRUE(wb->RunShared(QueryRequest::Skyline({{0, 1}})).ok());
+  EXPECT_EQ(wait->Count(), before + 1);
+  before = wait->Count();
+  ASSERT_TRUE(wb->Run(QueryRequest::Skyline({{0, 2}})).ok());
+  EXPECT_EQ(wait->Count(), before + 1);
+  before = wait->Count();
+  ASSERT_TRUE(wb->Estimate({{0, 3}}).ok());
+  EXPECT_EQ(wait->Count(), before + 1);
 }
 
 }  // namespace

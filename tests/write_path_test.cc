@@ -6,11 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "data/generators.h"
 #include "query/reference.h"
 #include "workbench/workbench.h"
@@ -327,6 +331,137 @@ TEST(WritePathTest, OpenReplaysUncheckpointedBatches) {
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
   std::remove((path + ".chk").c_str());
+}
+
+TEST(WritePathTest, ReadersSeeABatchPrefixDuringPureInsertIngest) {
+  // Differential test of the deferred maintenance window (write_path.h):
+  // between a slice's tree phase and its install phase, a query with
+  // predicates answers on the relation before the slice and one without
+  // answers on the relation after it. So while one writer applies small
+  // kApplied batches, every RunShared answer must equal the naive answer
+  // on the relation after some batch j, where j lies between the last
+  // batch acknowledged before the query began and the last batch issued
+  // when it returned.
+  constexpr size_t kBatches = 40;
+  constexpr size_t kBatchRows = 2;
+  const Dataset base = GenerateSynthetic(SmallConfig(21));
+  const Dataset extra = GenerateSynthetic(SmallConfig(22));
+  Dataset copy(base.schema(), 0);
+  for (TupleId t = 0; t < base.num_tuples(); ++t) {
+    copy.Append(base.BoolRow(t), base.PrefPoint(t));
+  }
+  // No result cache: every query runs the engine against the structures
+  // (AckedWriteNeverServedStaleCachedAnswer covers the cache). Small nodes
+  // make some batches split a leaf, so both maintenance paths run.
+  WorkbenchOptions options;
+  options.result_cache_mb = 0;
+  options.rtree.max_entries = 16;
+  auto built = Workbench::Build(std::move(copy), options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Workbench* wb = built->get();
+
+  auto f = std::make_shared<LinearRanking>(std::vector<double>{0.3, 0.7});
+  const std::vector<QueryRequest> queries = {
+      QueryRequest::Skyline({{0, 1}}), QueryRequest::Skyline({}),
+      QueryRequest::TopK({{1, 2}}, f, 5), QueryRequest::TopK({}, f, 5)};
+  // expected[q][j]: the answer (tids, scores) after j batches.
+  using Answer = std::pair<std::vector<TupleId>, std::vector<double>>;
+  std::vector<std::vector<Answer>> expected(queries.size());
+  {
+    Dataset relation(base.schema(), 0);
+    for (TupleId t = 0; t < base.num_tuples(); ++t) {
+      relation.Append(base.BoolRow(t), base.PrefPoint(t));
+    }
+    for (size_t j = 0; j <= kBatches; ++j) {
+      for (size_t q = 0; q < queries.size(); ++q) {
+        Answer a;
+        if (queries[q].kind == QueryRequest::Kind::kSkyline) {
+          a.first = NaiveSkyline(relation, queries[q].preds);
+        } else {
+          for (const auto& [tid, score] :
+               NaiveTopK(relation, queries[q].preds, *f, queries[q].k)) {
+            a.first.push_back(tid);
+            a.second.push_back(score);
+          }
+        }
+        expected[q].push_back(std::move(a));
+      }
+      for (size_t r = 0; j < kBatches && r < kBatchRows; ++r) {
+        const TupleId src = static_cast<TupleId>(j * kBatchRows + r);
+        relation.Append(extra.BoolRow(src), extra.PrefPoint(src));
+      }
+    }
+  }
+
+  const uint64_t installs_before =
+      MetricsRegistry::Default()
+          .GetHistogram("pcube_maintenance_hold_seconds{phase=\"install\"}")
+          ->Count();
+  std::atomic<size_t> acked{0};
+  std::atomic<size_t> issued{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> answers{0};
+  std::mutex error_mu;
+  std::string first_error;
+  auto report = [&](const std::string& msg) {
+    std::lock_guard<std::mutex> lock(error_mu);
+    if (first_error.empty()) first_error = msg;
+  };
+
+  auto writer = [&] {
+    for (size_t j = 0; j < kBatches; ++j) {
+      WriteBatch batch;  // Ack::kApplied
+      for (size_t r = 0; r < kBatchRows; ++r) {
+        batch.inserts.push_back(MakeRow(extra, j * kBatchRows + r));
+      }
+      issued.store(j + 1);
+      auto applied = wb->Apply(batch);
+      if (!applied.ok()) {
+        report("Apply failed: " + applied.status().ToString());
+        break;
+      }
+      acked.store(j + 1);
+    }
+    done.store(true);
+  };
+  auto reader = [&](size_t first) {
+    for (size_t i = first; !done.load(); ++i) {
+      const size_t q = i % queries.size();
+      const size_t low = acked.load();
+      auto resp = wb->RunShared(queries[q]);
+      const size_t high = issued.load();
+      if (!resp.ok()) {
+        report("query failed: " + resp.status().ToString());
+        return;
+      }
+      bool matched = false;
+      for (size_t j = low; j <= high && !matched; ++j) {
+        const Answer& a = expected[q][j];
+        matched = resp->tids == a.first &&
+                  (a.second.empty() || resp->scores == a.second);
+      }
+      if (!matched) {
+        report(queries[q].Canonical() + " matches no relation between batch " +
+               std::to_string(low) + " and batch " + std::to_string(high));
+      }
+      answers.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back(reader, 0);
+  threads.emplace_back(reader, 1);
+  threads.emplace_back(writer);
+  for (auto& t : threads) t.join();
+
+  EXPECT_TRUE(first_error.empty()) << first_error;
+  EXPECT_GT(answers.load(), 0u);
+  EXPECT_EQ(acked.load(), kBatches);
+  // Some batches fit their leaves and took the deferred path; others split.
+  EXPECT_GT(MetricsRegistry::Default()
+                .GetHistogram(
+                    "pcube_maintenance_hold_seconds{phase=\"install\"}")
+                ->Count(),
+            installs_before);
 }
 
 TEST(WritePathTest, TornCommitIsDiscardedOnReopen) {
